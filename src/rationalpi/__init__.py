@@ -31,7 +31,6 @@ from .formulas import (
     ComparisonRow,
     PiFormula,
     PiFormulaId,
-    TermBudgetError,
     arctan_recip_spec,
     combined_series_specs,
     compare_convergence,

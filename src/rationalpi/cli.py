@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fixedpoint import (
     BoundaryStraddleError,
@@ -37,22 +37,10 @@ from .formulas import (
     verify_arctan_identity,
     verify_factorization,
 )
-from .series import CaseId
+from .series import CASES, CaseId, Component, series_for_case
 
 DEFAULT_MAX_DIGITS = 100_000
 JSON_SCHEMA_VERSION = 1
-
-_PI_METHODS = {
-    "case1": PiFormulaId.CASE1,
-    "combined": PiFormulaId.COMBINED,
-    "machin": PiFormulaId.MACHIN_ORACLE,
-}
-
-_ARCTAN_CASES = {
-    "1": CaseId.X1,
-    "1/2": CaseId.X_HALF,
-    "1/4": CaseId.X_QUARTER,
-}
 
 
 @dataclass(frozen=True)
@@ -157,7 +145,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
         return _argument_error(
             f"--digits {args.digits} exceeds the configured maximum {args.max_digits}"
         )
-    formula_id = _PI_METHODS[args.method]
+    formula_id = PiFormulaId(args.method)
     t0 = time.perf_counter()
     try:
         ctx = context_for_formula(formula_id, args.digits)
@@ -176,7 +164,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
 
 
 def cmd_arctan(args: argparse.Namespace) -> int:
-    case_id = _ARCTAN_CASES[args.case]
+    case_id = CaseId(args.case)
     t0 = time.perf_counter()
     try:
         ctx = context_for_case(case_id, args.digits)
@@ -200,7 +188,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("factorization 4+x^4", factorization.passed, f"coefficients {factorization.coefficients}")
     )
 
-    identity = verify_arctan_identity(ctx, fault_injection=args.inject_fault)
+    overrides = None
+    if args.inject_fault:
+        # a doubled prefactor the identity check must catch
+        good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
+        overrides = {good: replace(good, prefactor_num=2 * good.prefactor_num)}
+    identity = verify_arctan_identity(ctx, spec_overrides=overrides)
     lines.append(
         (
             "arctan identity",
@@ -282,7 +275,7 @@ def _csv_field(cell: str) -> str:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
-    for method, formula_id in _PI_METHODS.items():
+    for formula_id in PiFormulaId:
         best = None
         result = None
         for _ in range(args.repeat):
@@ -291,7 +284,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             result = compute_pi(formula_id, ctx)
             elapsed = (time.perf_counter() - t0) * 1000
             best = elapsed if best is None else min(best, elapsed)
-        print(f"{method:<10}{args.digits:>8}{result.terms_used:>8}{best:>10.2f}")
+        print(f"{formula_id.value:<10}{args.digits:>8}{result.terms_used:>8}{best:>10.2f}")
     return 0
 
 
@@ -309,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi = sub.add_parser("pi", help="compute pi digits")
     p_pi.add_argument("--digits", type=_positive_int, required=True,
                       help="fractional digits to emit (certified)")
-    p_pi.add_argument("--method", choices=sorted(_PI_METHODS), default="combined",
+    p_pi.add_argument("--method", choices=[f.value for f in PiFormulaId], default="combined",
                       help="assembly route (default: combined)")
     p_pi.add_argument("--json", action="store_true", help="emit the full JSON report")
     p_pi.add_argument("--fixture", metavar="PATH",
@@ -320,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi.set_defaults(func=cmd_pi)
 
     p_at = sub.add_parser("arctan", help="compute an arctangent value")
-    p_at.add_argument("--case", choices=sorted(_ARCTAN_CASES), required=True,
+    p_at.add_argument("--case", choices=[c.value for c in CaseId], required=True,
                       help="series argument x; the value is arctan(x/(2-x))")
     p_at.add_argument("--digits", type=_positive_int, required=True,
                       help="fractional digits to emit (certified)")

@@ -15,8 +15,8 @@ there is no hidden rounding anywhere in the layer.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -106,8 +106,9 @@ class ErrorLedger:
     """Accumulated worst-case error of one computation, counted in ulps.
 
     The count is monotone non-decreasing: truncating divisions charge one
-    ulp each, and multiplying a tracked value by ``m`` scales whatever error
-    it already carries by ``|m|`` (the multiplication itself is exact).
+    ulp each.  Multiplying a tracked value by ``m`` is exact but scales
+    whatever error it already carries by ``|m|``; callers that multiply
+    account for that in the ulps they carry forward.
     """
 
     __slots__ = ("_ulps",)
@@ -126,12 +127,6 @@ class ErrorLedger:
         if n < 0:
             raise ValueError("cannot remove accumulated error")
         self._ulps += n
-
-    def scale_by(self, m: int) -> None:
-        """Account for an exact multiplication of the tracked value by ``m``."""
-        if m == 0:
-            raise ValueError("scaling the tracked value by zero is not supported")
-        self._ulps *= abs(m)
 
     def __repr__(self):
         return f"ErrorLedger(ulps={self._ulps})"
@@ -187,21 +182,6 @@ def guaranteed_digit_count(scale: int, ulps: int) -> int:
     return max(0, scale - _ceil_log10(ulps + 1) - 1)
 
 
-def _ensure_int_str_capacity(magnitude: int) -> None:
-    """Lift CPython's int-to-str conversion cap high enough for this value.
-
-    The cap is only ever raised, never lowered, so concurrent emitters
-    cannot race each other into a tighter limit.
-    """
-    try:
-        current = sys.get_int_max_str_digits()
-    except AttributeError:  # interpreter without the conversion cap
-        return
-    needed = int(magnitude.bit_length() * 0.30103) + 16
-    if needed > current:
-        sys.set_int_max_str_digits(needed)
-
-
 def _require_same_scale(a: FixedPoint, b: FixedPoint) -> None:
     if a.scale != b.scale:
         raise ScaleMismatchError(f"scales differ: {a.scale} vs {b.scale}")
@@ -217,7 +197,7 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
     """Exact product with a small integer; contributes no new error.
 
     Any error already accumulated against ``a`` scales by ``|m|``; callers
-    tracking a ledger across the multiply must call ``ledger.scale_by(m)``.
+    tracking an error bound across the multiply must scale it themselves.
     """
     return FixedPoint.from_scaled(a.signed_units * m, a.scale)
 
@@ -270,8 +250,8 @@ def fx_to_decimal_string(a: FixedPoint, ledger: ErrorLedger, want_digits: int) -
             f"certified interval spans a digit boundary at {want_digits} digits"
         )
 
-    _ensure_int_str_capacity(prefix_lo)
-    body = str(prefix_lo)
+    # Decimal renders without the interpreter's int-to-str digit cap
+    body = str(Decimal(prefix_lo))
     if want_digits:
         body = body.zfill(want_digits + 1)
         body = f"{body[:-want_digits]}.{body[-want_digits:]}"

@@ -11,17 +11,21 @@ cross-check route through the classic Machin pair
 ``16*arctan(1/5) - 4*arctan(1/239)`` which shares only the fixed-point
 layer's mechanics and none of the series parameters.
 
-:func:`compare_convergence` quantifies how many terms each route needs per
-digit; a term-capped Leibniz baseline is kept around purely to make the
-comparison concrete at small precisions.
+:data:`PI_FORMULAS` is the one table of routes: evaluation, planning, the
+cross-route agreement check and the command line all expand its weighted
+arctangents into the weighted case stacks and series that :func:`_evaluate`
+sums.  :func:`compare_convergence` quantifies how many terms each route
+needs per digit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping
 
 from .fixedpoint import (
     FixedPoint,
@@ -51,7 +55,6 @@ __all__ = [
     "FactorizationCheck",
     "AgreementCheck",
     "ComparisonRow",
-    "TermBudgetError",
     "sun",
     "verify_arctan_identity",
     "verify_factorization",
@@ -63,20 +66,13 @@ __all__ = [
     "context_for_case",
     "context_for_formula",
     "context_for_verify",
-    "LEIBNIZ_MAX_DIGITS",
-    "DEFAULT_LEIBNIZ_MAX_TERMS",
 ]
-
-
-class TermBudgetError(ValueError):
-    """A request whose term count is infeasible at desk scale."""
 
 
 class PiFormulaId(enum.Enum):
     CASE1 = "case1"
     COMBINED = "combined"
     MACHIN_ORACLE = "machin"
-    LEIBNIZ_BASELINE = "leibniz"
 
 
 @dataclass(frozen=True)
@@ -95,65 +91,88 @@ PI_FORMULAS: dict[PiFormulaId, PiFormula] = {
     PiFormulaId.MACHIN_ORACLE: PiFormula(
         PiFormulaId.MACHIN_ORACLE, ((16, Fraction(1, 5)), (-4, Fraction(1, 239)))
     ),
-    PiFormulaId.LEIBNIZ_BASELINE: PiFormula(
-        PiFormulaId.LEIBNIZ_BASELINE, ((4, Fraction(1, 1)),)
-    ),
 }
+
+# 2*arctan(1/3) + arctan(1/7) - arctan(1), which is zero
+_IDENTITY_TERMS = ((2, Fraction(1, 3)), (1, Fraction(1, 7)), (-1, Fraction(1, 1)))
 
 # component weights in the arctangent assembly
 _SUN_WEIGHTS = ((Component.SATURN, 2), (Component.JUPITER, 2), (Component.MARS, 1))
 
-LEIBNIZ_MAX_DIGITS = 12
-DEFAULT_LEIBNIZ_MAX_TERMS = 1_000_000
+# the arctangent argument x/(2-x) each supported case evaluates
+_CASE_OF_ARG = {
+    Fraction(c.x_num, c.x_den) / (2 - Fraction(c.x_num, c.x_den)): c for c in CASES.values()
+}
+
+_Parts = list[tuple[int, SeriesSpec | CaseParams]]
 
 
 def _case(case: CaseParams | CaseId) -> CaseParams:
     return CASES[case] if isinstance(case, CaseId) else case
 
 
-def _weighted_sum(
-    parts: list[tuple[int, EvalResult]], scale: int
-) -> tuple[FixedPoint, int, int, tuple[int, ...]]:
-    """Combine evaluations as sum(weight * result); exact adds and multiplies,
-    error bounds scaled by |weight| and summed."""
-    total = FixedPoint.from_int(0, scale)
+def _stack(case: CaseParams) -> list[tuple[int, SeriesSpec]]:
+    """``arctan(x/(2-x))`` as the weighted three-series stack of one case."""
+    return [(weight, series_for_case(case, component)) for component, weight in _SUN_WEIGHTS]
+
+
+def _arctan(arg: Fraction) -> SeriesSpec | CaseParams:
+    """What evaluates ``arctan(arg)``: the case stack for 1, 1/3 and 1/7,
+    otherwise the plain ``arctan(1/n)`` series."""
+    if arg in _CASE_OF_ARG:
+        return _CASE_OF_ARG[arg]
+    if arg.numerator != 1:
+        raise ValueError(f"no series for arctan({arg})")
+    return arctan_recip_spec(arg.denominator)
+
+
+def _parts(terms: Iterable[tuple[int, Fraction]]) -> _Parts:
+    """Weighted arctangents as weighted cases and series."""
+    return [(coeff, _arctan(arg)) for coeff, arg in terms]
+
+
+def _series(parts: _Parts) -> list[tuple[int, SeriesSpec]]:
+    """``parts`` with every case expanded into its weighted series."""
+    return [
+        (weight * inner, spec)
+        for weight, item in parts
+        for inner, spec in (_stack(item) if isinstance(item, CaseParams) else [(1, item)])
+    ]
+
+
+def _evaluate(parts: _Parts, ctx: PrecisionContext) -> EvalResult:
+    """Evaluate ``sum(weight * item)`` at the context's scale, a case
+    through :func:`sun` and a series through :func:`eval_series`.
+
+    Adds and small multiplies are exact, so the error bound is
+    ``sum(|weight| * item error)``.
+    """
+    total = FixedPoint.from_int(0, ctx.scale)
     error_ulps = 0
-    terms = 0
     component_terms: list[int] = []
-    for weight, result in parts:
+    for weight, item in parts:
+        result = sun(item, ctx) if isinstance(item, CaseParams) else eval_series(item, ctx)
         total = fx_add(total, fx_mul_small(result.value, weight))
         error_ulps += abs(weight) * result.error_ulps
-        terms += result.terms_used
         component_terms.extend(result.component_terms)
-    return total, error_ulps, terms, tuple(component_terms)
-
-
-def _compose(parts: list[tuple[int, EvalResult]], ctx: PrecisionContext) -> EvalResult:
-    value, error_ulps, terms, component_terms = _weighted_sum(parts, ctx.scale)
     return EvalResult(
-        value=value,
-        terms_used=terms,
+        value=total,
+        terms_used=sum(component_terms),
         error_ulps=error_ulps,
         guaranteed_digits=guaranteed_digit_count(ctx.scale, error_ulps),
-        component_terms=component_terms,
+        component_terms=tuple(component_terms),
     )
 
 
-def _sun(
-    case: CaseParams,
-    ctx: PrecisionContext,
-    spec_overrides: dict[Component, SeriesSpec] | None = None,
-) -> EvalResult:
-    parts = []
-    for component, weight in _SUN_WEIGHTS:
-        spec = (spec_overrides or {}).get(component) or series_for_case(case, component)
-        parts.append((weight, eval_series(spec, ctx)))
-    return _compose(parts, ctx)
+def _plan(parts: _Parts, target_digits: int) -> PrecisionContext:
+    """Context sized for the series ``parts`` evaluates, each counted once
+    at its own prefactor: weights multiply error, not operations."""
+    return context_for(dict.fromkeys(spec for _, spec in _series(parts)), target_digits)
 
 
 def sun(case: CaseParams | CaseId, ctx: PrecisionContext) -> EvalResult:
     """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for a case."""
-    return _sun(_case(case), ctx)
+    return _evaluate(_stack(_case(case)), ctx)
 
 
 @dataclass(frozen=True)
@@ -167,37 +186,23 @@ class IdentityCheck:
 
 
 def verify_arctan_identity(
-    ctx: PrecisionContext, *, fault_injection: bool = False
+    ctx: PrecisionContext,
+    *,
+    spec_overrides: Mapping[SeriesSpec, SeriesSpec] | None = None,
 ) -> IdentityCheck:
     """Check ``2*arctan(1/3) + arctan(1/7) = arctan(1)`` numerically.
 
     Passes iff the residual of the three evaluated sides stays within the
-    combined error bound.  ``fault_injection`` deliberately doubles one
-    series prefactor so self-tests can see the check fail.
+    combined error bound.  ``spec_overrides`` replaces the named series with
+    others, so self-tests can feed a faulty series and see the check fail.
     """
-    overrides = None
-    if fault_injection:
-        good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
-        overrides = {
-            Component.JUPITER: SeriesSpec(
-                good.prefactor_num * 2,
-                good.prefactor_den,
-                good.offset,
-                good.step,
-                good.q_den,
-            )
-        }
-
-    one = _sun(CASES[CaseId.X1], ctx)
-    half = _sun(CASES[CaseId.X_HALF], ctx, spec_overrides=overrides)
-    quarter = _sun(CASES[CaseId.X_QUARTER], ctx)
-
-    residual = fx_add(
-        fx_add(fx_mul_small(half.value, 2), quarter.value),
-        fx_mul_small(one.value, -1),
-    )
-    residual_ulps = residual.magnitude
-    bound_ulps = 2 * half.error_ulps + quarter.error_ulps + one.error_ulps
+    overrides = spec_overrides or {}
+    parts = [
+        (weight, overrides.get(spec, spec)) for weight, spec in _series(_parts(_IDENTITY_TERMS))
+    ]
+    residual = _evaluate(parts, ctx)
+    residual_ulps = residual.value.magnitude
+    bound_ulps = residual.error_ulps
     return IdentityCheck(residual_ulps <= bound_ulps, residual_ulps, bound_ulps, ctx.scale)
 
 
@@ -235,84 +240,29 @@ def arctan_recip_spec(n: int) -> SeriesSpec:
     return SeriesSpec(1, n, 1, 2, n * n)
 
 
+def _folded(weight: int, spec: SeriesSpec) -> SeriesSpec:
+    """``spec`` with ``weight`` multiplied into its prefactor."""
+    pref = spec.prefactor * weight
+    return SeriesSpec(pref.numerator, pref.denominator, spec.offset, spec.step, spec.q_den)
+
+
 def combined_series_specs() -> tuple[SeriesSpec, ...]:
     """The six series whose plain sum is pi: the x=1/2 stack scaled by 8 and
     the x=1/4 stack scaled by 4, component weights folded into prefactors."""
-    specs = []
-    for case_id, multiple in ((CaseId.X_HALF, 8), (CaseId.X_QUARTER, 4)):
-        for component, weight in _SUN_WEIGHTS:
-            base = series_for_case(CASES[case_id], component)
-            pref = base.prefactor * multiple * weight
-            specs.append(
-                SeriesSpec(pref.numerator, pref.denominator, base.offset, base.step, base.q_den)
-            )
-    return tuple(specs)
+    parts = _parts(PI_FORMULAS[PiFormulaId.COMBINED].terms)
+    return tuple(_folded(weight, spec) for weight, spec in _series(parts))
 
 
-def _eval_leibniz(ctx: PrecisionContext, max_terms: int) -> EvalResult:
-    """Term-capped partial sums of ``4*(1 - 1/3 + 1/5 - ...)``.
-
-    A baseline, not a precision tool: with the default cap the value is
-    only good to a handful of digits, and the returned certificate says so.
-    Each term is one truncating division (same charge rule as
-    :func:`rationalpi.fixedpoint.fx_div_small`, done on raw integers here
-    because the loop runs a million times).
-    """
-    if ctx.target_digits > LEIBNIZ_MAX_DIGITS:
-        raise TermBudgetError(
-            f"refusing Leibniz baseline beyond {LEIBNIZ_MAX_DIGITS} digits: "
-            f"the term count grows as 10^digits"
-        )
-    if max_terms < 1:
-        raise ValueError("max_terms must be positive")
-    scale = ctx.scale
-    needed = 2 * 10**scale  # first omitted term 4/(2N+1) below one ulp
-    n = min(needed, max_terms)
-    four = 4 * 10**scale
-    total = 0
-    for k in range(n):
-        q = four // (2 * k + 1)
-        total += -q if k & 1 else q
-    remainder_ulps = four // (2 * n + 1) + 1
-    error_ulps = n + remainder_ulps
-    return EvalResult(
-        value=FixedPoint.from_scaled(total, scale),
-        terms_used=n,
-        error_ulps=error_ulps,
-        guaranteed_digits=guaranteed_digit_count(scale, error_ulps),
-        component_terms=(n,),
-    )
-
-
-def compute_pi(
-    formula: PiFormula | PiFormulaId,
-    ctx: PrecisionContext,
-    *,
-    leibniz_max_terms: int = DEFAULT_LEIBNIZ_MAX_TERMS,
-) -> EvalResult:
+def compute_pi(formula: PiFormula | PiFormulaId, ctx: PrecisionContext) -> EvalResult:
     """Assemble pi along the requested route.
 
     CASE1 and COMBINED go through the arctangent decomposition; the Machin
     route uses plain ``arctan(1/n)`` series so agreement between the routes
-    is meaningful.  The Leibniz baseline is capped (see
-    :data:`LEIBNIZ_MAX_DIGITS`).
+    is meaningful.
     """
-    formula_id = formula.formula_id if isinstance(formula, PiFormula) else formula
-    if formula_id is PiFormulaId.CASE1:
-        return _compose([(4, sun(CaseId.X1, ctx))], ctx)
-    if formula_id is PiFormulaId.COMBINED:
-        return _compose(
-            [(8, sun(CaseId.X_HALF, ctx)), (4, sun(CaseId.X_QUARTER, ctx))], ctx
-        )
-    if formula_id is PiFormulaId.MACHIN_ORACLE:
-        parts = [
-            (coeff, eval_series(arctan_recip_spec(arg.denominator), ctx))
-            for coeff, arg in PI_FORMULAS[PiFormulaId.MACHIN_ORACLE].terms
-        ]
-        return _compose(parts, ctx)
-    if formula_id is PiFormulaId.LEIBNIZ_BASELINE:
-        return _eval_leibniz(ctx, leibniz_max_terms)
-    raise ValueError(f"unknown formula: {formula_id!r}")
+    if isinstance(formula, PiFormulaId):
+        formula = PI_FORMULAS[formula]
+    return _evaluate(_parts(formula.terms), ctx)
 
 
 @dataclass(frozen=True)
@@ -327,21 +277,14 @@ class AgreementCheck:
 
 
 def cross_formula_agreement(ctx: PrecisionContext) -> list[AgreementCheck]:
-    """Evaluate CASE1, COMBINED and the Machin route at one scale and check
+    """Evaluate every route of :data:`PI_FORMULAS` at one scale and check
     each pair agrees within the sum of the two error bounds."""
-    routes = [
-        ("case1", compute_pi(PiFormulaId.CASE1, ctx)),
-        ("combined", compute_pi(PiFormulaId.COMBINED, ctx)),
-        ("machin", compute_pi(PiFormulaId.MACHIN_ORACLE, ctx)),
-    ]
+    routes = [(formula_id.value, compute_pi(formula_id, ctx)) for formula_id in PI_FORMULAS]
     checks = []
-    for i in range(len(routes)):
-        for j in range(i + 1, len(routes)):
-            name_a, a = routes[i]
-            name_b, b = routes[j]
-            diff = abs(a.value.signed_units - b.value.signed_units)
-            bound = a.error_ulps + b.error_ulps
-            checks.append(AgreementCheck(name_a, name_b, diff <= bound, diff, bound))
+    for (name_a, a), (name_b, b) in itertools.combinations(routes, 2):
+        diff = abs(a.value.signed_units - b.value.signed_units)
+        bound = a.error_ulps + b.error_ulps
+        checks.append(AgreementCheck(name_a, name_b, diff <= bound, diff, bound))
     return checks
 
 
@@ -364,13 +307,6 @@ class ComparisonRow:
     terms_for_target: int | None
     symbolic_terms: str | None
     notes: str
-
-
-def _leading_spec(case_id: CaseId) -> SeriesSpec:
-    """Doubled SATURN series, the dominant row of a case's arctan assembly."""
-    base = series_for_case(CASES[case_id], Component.SATURN)
-    pref = base.prefactor * 2
-    return SeriesSpec(pref.numerator, pref.denominator, base.offset, base.step, base.q_den)
 
 
 def _leibniz_symbolic(target_digits: int) -> str:
@@ -408,30 +344,25 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
             notes="rate model only; irrational terms - not evaluated",
         ),
     ]
-    for case_id, method, label in (
-        (CaseId.X1, "euler_x1", "arctan(1)"),
-        (CaseId.X_HALF, "euler_x_half", "arctan(1/3)"),
-        (CaseId.X_QUARTER, "euler_x_quarter", "arctan(1/7)"),
-    ):
-        spec = _leading_spec(case_id)
+    for case in CASES.values():
+        spec = _folded(*_stack(case)[0])  # the doubled SATURN series leads
         rows.append(
             ComparisonRow(
-                method=method,
+                method=f"euler_{case.case_id.name.lower()}",
                 ratio=f"1/{spec.q_den}",
                 terms_per_digit=1 / math.log10(spec.q_den),
                 terms_for_target=terms_needed(spec, t),
                 symbolic_terms=None,
-                notes=f"leading series of the {label} assembly",
+                notes=f"leading series of the {case.target_description} assembly",
             )
         )
-    atan5 = arctan_recip_spec(5)
-    atan239 = arctan_recip_spec(239)
+    machin = [spec for _, spec in _series(_parts(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE].terms))]
     rows.append(
         ComparisonRow(
             method="machin",
-            ratio="1/25 & 1/57121",
-            terms_per_digit=1 / math.log10(25),
-            terms_for_target=terms_needed(atan5, t) + terms_needed(atan239, t),
+            ratio=" & ".join(f"1/{spec.q_den}" for spec in machin),
+            terms_per_digit=1 / math.log10(machin[0].q_den),
+            terms_for_target=sum(terms_needed(spec, t) for spec in machin),
             symbolic_terms=None,
             notes="16*arctan(1/5) - 4*arctan(1/239); terms summed over both series",
         )
@@ -445,37 +376,15 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 
 def context_for_case(case: CaseParams | CaseId, target_digits: int) -> PrecisionContext:
     """Context sized for one arctangent assembly."""
-    params = _case(case)
-    specs = [series_for_case(params, component) for component, _ in _SUN_WEIGHTS]
-    return context_for(specs, target_digits)
+    return _plan(_stack(_case(case)), target_digits)
 
 
-def _formula_specs(formula_id: PiFormulaId) -> list[SeriesSpec]:
-    if formula_id is PiFormulaId.CASE1:
-        return [series_for_case(CASES[CaseId.X1], c) for c, _ in _SUN_WEIGHTS]
-    if formula_id is PiFormulaId.COMBINED:
-        return list(combined_series_specs())
-    if formula_id is PiFormulaId.MACHIN_ORACLE:
-        return [arctan_recip_spec(5), arctan_recip_spec(239)]
-    raise ValueError(f"no series plan for {formula_id!r}")
-
-
-def context_for_formula(
-    formula_id: PiFormulaId,
-    target_digits: int,
-    *,
-    leibniz_max_terms: int = DEFAULT_LEIBNIZ_MAX_TERMS,
-) -> PrecisionContext:
+def context_for_formula(formula_id: PiFormulaId, target_digits: int) -> PrecisionContext:
     """Context sized for one pi route at one digit target."""
-    if formula_id is PiFormulaId.LEIBNIZ_BASELINE:
-        return PrecisionContext.for_op_count(target_digits, leibniz_max_terms)
-    return context_for(_formula_specs(formula_id), target_digits)
+    return _plan(_parts(PI_FORMULAS[formula_id].terms), target_digits)
 
 
 def context_for_verify(target_digits: int) -> PrecisionContext:
     """Context wide enough for the identity and all cross-route checks."""
-    specs = []
-    for case in CASES.values():
-        specs.extend(series_for_case(case, c) for c, _ in _SUN_WEIGHTS)
-    specs.extend(_formula_specs(PiFormulaId.MACHIN_ORACLE))
-    return context_for(specs, target_digits)
+    terms = [term for formula in PI_FORMULAS.values() for term in formula.terms]
+    return _plan(_parts([*terms, *_IDENTITY_TERMS]), target_digits)

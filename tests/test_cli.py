@@ -114,20 +114,29 @@ def test_happy_paths_exit_zero(capsys):
         assert code == 0, argv
 
 
+VERIFY_50 = """\
+PASS  factorization 4+x^4: coefficients (4, 0, 0, 0, 1)
+PASS  arctan identity: residual 4 ulps <= bound 1918 ulps (scale 64)
+PASS  pi case1 vs combined: diff 16 ulps <= bound 7672 ulps
+PASS  pi case1 vs machin: diff 0 ulps <= bound 5592 ulps
+PASS  pi combined vs machin: diff 16 ulps <= bound 5144 ulps
+"""
+
+
 def test_verify_fault_injection_exits_one(capsys):
     code, out, _ = run_cli(["verify", "--digits", "50", "--inject-fault"], capsys)
     assert code == 1
-    assert "FAIL" in out
+    assert out.splitlines()[1] == (
+        "FAIL  arctan identity: residual "
+        "1243549945467614350313548491638710255731701917698040899151141192 ulps "
+        "<= bound 1918 ulps (scale 64)"
+    )
 
 
 def test_verify_prints_pass_lines(capsys):
     code, out, _ = run_cli(["verify", "--digits", "50"], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 5
-    assert all(line.startswith("PASS") for line in lines)
-    assert any("factorization" in line for line in lines)
-    assert any("identity" in line for line in lines)
+    assert out == VERIFY_50
 
 
 # --- determinism ------------------------------------------------------------------
@@ -181,6 +190,92 @@ def test_arctan_json_report(capsys):
     payload = json.loads(out)
     assert payload["guaranteed_digits"] >= payload["requested_digits"] == 25
     assert len(payload["terms_used"]) == 3
+
+
+# (guaranteed_digits, terms_used, error_ulps) of the --json report per
+# request.  Sizing the guard from weight-folded prefactors would add a guard
+# digit to case1 at 72 digits and to machin at 21 and 508, so these counts
+# also pin the planning rule: each series counted once at its own prefactor.
+GOLDEN_REPORTS = {
+    ("pi", "case1"): {
+        1: (10, [20, 20, 20], 820),
+        21: (29, [52, 52, 52], 2100),
+        72: (80, [136, 136, 136], 5460),
+        128: (137, [230, 230, 230], 9220),
+        508: (516, [861, 861, 861], 34460),
+    },
+    ("pi", "combined"): {
+        1: (10, [7, 7, 7, 4, 4, 4], 780),
+        21: (29, [18, 18, 17, 11, 11, 10], 1916),
+        72: (80, [46, 46, 45, 28, 27, 27], 4820),
+        128: (136, [77, 77, 76, 46, 46, 46], 8044),
+        508: (516, [287, 287, 287, 173, 172, 172], 29916),
+    },
+    ("pi", "machin"): {
+        1: (9, [8, 3], 300),
+        21: (29, [22, 7], 780),
+        72: (80, [59, 18], 2052),
+        128: (136, [99, 29], 3420),
+        508: (515, [371, 109], 12764),
+    },
+    ("arctan", "1"): {
+        1: (10, [20, 20, 20], 205),
+        21: (30, [52, 52, 52], 525),
+        72: (80, [136, 136, 136], 1365),
+        128: (137, [230, 230, 230], 2305),
+        508: (517, [861, 861, 861], 8615),
+    },
+    ("arctan", "1/2"): {
+        1: (11, [7, 7, 7], 75),
+        21: (30, [18, 18, 17], 183),
+        72: (81, [46, 46, 45], 463),
+        128: (137, [77, 77, 76], 773),
+        508: (517, [287, 287, 287], 2875),
+    },
+    ("arctan", "1/4"): {
+        1: (10, [4, 4, 4], 45),
+        21: (30, [11, 11, 10], 113),
+        72: (81, [28, 27, 27], 279),
+        128: (137, [46, 46, 46], 465),
+        508: (517, [173, 172, 172], 1729),
+    },
+}
+
+
+@pytest.mark.parametrize("digits", (1, 21, 72, 128, 508))
+@pytest.mark.parametrize("command,choice", list(GOLDEN_REPORTS))
+def test_json_report_golden(command, choice, digits, capsys):
+    if command == "pi":
+        argv = ["pi", "--method", choice]
+        method, bracket = choice, oracles.pi_bracket(digits + 10)
+    else:
+        argv = ["arctan", "--case", choice]
+        method = f"arctan case {choice}"
+        bracket = oracles.case_target_bracket(choice, digits + 10)
+    code, out, _ = run_cli([*argv, "--digits", str(digits), "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed_ms")
+    guaranteed, terms, ulps = GOLDEN_REPORTS[command, choice][digits]
+    assert payload == {
+        "schema": 1,
+        "method": method,
+        "requested_digits": digits,
+        "guaranteed_digits": guaranteed,
+        "terms_used": terms,
+        "error_ulps": ulps,
+        "value": oracles.truncated_digits(bracket, digits),
+    }
+
+
+def test_combined_156_digits_certified(capsys):
+    # combined plans one guard digit fewer here than the weight-folded rule
+    # would, so pin only the digits and that they are certified
+    code, out, _ = run_cli(["pi", "--digits", "156", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == oracles.truncated_digits(oracles.pi_bracket(170), 156)
+    assert payload["guaranteed_digits"] >= 156
 
 
 # --- compare rendering ------------------------------------------------------------
@@ -254,7 +349,7 @@ def test_fixture_missing_file(tmp_path, capsys):
 
 def test_pi_emission_beyond_interpreter_str_cap(capsys):
     # digit counts past CPython's default 4300-digit int/str conversion
-    # limit must still emit; guard against regressing the capacity lift
+    # limit must still emit
     code, out, _ = run_cli(["pi", "--digits", "5000", "--method", "combined"], capsys)
     assert code == 0
     assert len(out) == 5003  # "3." + 5000 digits + newline
