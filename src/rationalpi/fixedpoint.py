@@ -55,7 +55,7 @@ class BoundaryStraddleError(ArithmeticError):
     so no digit prefix of the requested length can be emitted honestly."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class FixedPoint:
     """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
 
@@ -90,9 +90,17 @@ class FixedPoint:
             return cls(-1, -units, scale)
         return cls(0, 0, scale)
 
+    def __repr__(self):
+        # Decimal renders without the interpreter's int-to-str digit cap
+        return (
+            f"FixedPoint(sign={self.sign}, magnitude={Decimal(self.magnitude)}, "
+            f"scale={self.scale})"
+        )
+
     @property
     def signed_units(self) -> int:
-        return self.sign * self.magnitude
+        # a negation, not a multiply by the sign: no limb-by-limb product
+        return -self.magnitude if self.sign < 0 else self.magnitude
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -198,7 +206,13 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
 
     Any error already accumulated against ``a`` scales by ``|m|``; callers
     tracking an error bound across the multiply must scale it themselves.
+    Multiplying by 1 or -1 copies no digits: the operand comes back as is
+    or with its sign flipped.
     """
+    if m == 1:
+        return a
+    if m == -1:
+        return FixedPoint(-a.sign, a.magnitude, a.scale)
     return FixedPoint.from_scaled(a.signed_units * m, a.scale)
 
 
@@ -207,13 +221,18 @@ def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
 
     Charges exactly one ulp to the ledger per call, even for ``m == 1``:
     the flat rule is what keeps the ledger a closed-form upper bound.
+    A power of two ``m == 2**s`` divides by ``magnitude >> s``, which equals
+    ``magnitude // m`` for the non-negative magnitude and skips long division.
     """
     if m == 0:
         raise ZeroDivisionError("division by zero")
     if m < 0:
         raise ValueError("divisor must be positive")
     ledger.charge(1)
-    magnitude = a.magnitude // m
+    if m & (m - 1):
+        magnitude = a.magnitude // m
+    else:
+        magnitude = a.magnitude >> (m.bit_length() - 1)
     return FixedPoint(a.sign if magnitude else 0, magnitude, a.scale)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -266,6 +267,25 @@ def test_json_report_golden(command, choice, digits, capsys):
         "error_ulps": ulps,
         "value": oracles.truncated_digits(bracket, digits),
     }
+
+
+# SHA-256 of the 5000-digit --json report with elapsed_ms removed: pins the
+# digits, term counts and certificate past the interpreter's int/str cap
+GOLDEN_5000_SHA256 = {
+    "case1": "59fc716d52765a611f1ee445601ead0f0e2173c9c546d75c95caed5623858562",
+    "combined": "0fdfc5c0dd4aeaab2694b414d7483fbb0ba96fe9596972f6e8ba0507c7e0e473",
+    "machin": "bc8146154cced7272937a0ab8e2e2cfc8e2b7d01c15615a5b7f4c802958ed3a7",
+}
+
+
+@pytest.mark.parametrize("method", list(GOLDEN_5000_SHA256))
+def test_json_report_golden_past_int_str_cap(method, capsys):
+    code, out, _ = run_cli(["pi", "--method", method, "--digits", "5000", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    payload.pop("elapsed_ms")
+    digest = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert digest == GOLDEN_5000_SHA256[method]
 
 
 def test_combined_156_digits_certified(capsys):

@@ -1,8 +1,8 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rationalpi.fixedpoint import (
     BoundaryStraddleError,
@@ -138,6 +138,45 @@ def test_div_error_strictly_below_one_ulp():
         assert abs(stored.as_fraction() - a.as_fraction() / m) < ulp
 
 
+# --- arithmetic identities over random operands -------------------------------
+
+MAGNITUDES = st.integers(min_value=0, max_value=10**3000)
+SIGNS = st.sampled_from((-1, 1))
+# every power of two up to 2**64 (the shift path) and random non-powers
+DIVISORS = st.one_of(
+    st.integers(min_value=0, max_value=64).map(lambda s: 1 << s),
+    st.integers(min_value=3, max_value=2**64).filter(lambda m: m & (m - 1)),
+)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@PROPERTY_SETTINGS
+@given(magnitude=MAGNITUDES, sign=SIGNS, m=DIVISORS)
+def test_div_small_is_floor_division_with_one_ulp(magnitude, sign, m):
+    ledger = ErrorLedger()
+    result = fx_div_small(fp(sign * magnitude, 7), m, ledger)
+    assert result.magnitude == magnitude // m
+    assert result.signed_units == sign * (magnitude // m)
+    assert result.scale == 7
+    assert ledger.ulps == 1
+
+
+@PROPERTY_SETTINGS
+@given(magnitude=MAGNITUDES, sign=SIGNS)
+def test_signed_units_is_sign_times_magnitude(magnitude, sign):
+    value = fp(sign * magnitude, 3)
+    assert value.signed_units == value.sign * value.magnitude == sign * magnitude
+
+
+@PROPERTY_SETTINGS
+@given(
+    magnitude=MAGNITUDES, sign=SIGNS, m=st.sampled_from((-3, -1, 0, 1, 2, 16))
+)
+def test_mul_small_is_exact_product(magnitude, sign, m):
+    a = fp(sign * magnitude, 5)
+    assert fx_mul_small(a, m) == fp(a.signed_units * m, 5)
+
+
 # --- ledger -------------------------------------------------------------------
 
 
@@ -254,22 +293,20 @@ def test_decimal_string_insufficient_precision():
     assert "49" in str(info.value)
 
 
-def test_decimal_string_past_int_str_cap_leaves_cap_alone():
+def test_decimal_string_past_int_str_cap_leaves_cap_alone(int_str_cap):
     # 5000 digits is past CPython's default 4300-digit int/str limit, where
     # one exists; rendering must neither fail nor raise the process-wide cap
-    get_cap = getattr(sys, "get_int_max_str_digits", None)
-    before = get_cap() if get_cap else None
-    if get_cap:
-        sys.set_int_max_str_digits(4300)
-    try:
-        value = fp(10**5010 // 7, 5010)
-        text = fx_to_decimal_string(value, ErrorLedger(1), 5000)
-        assert text == "0." + ("142857" * 834)[:5000]
-        if get_cap:
-            assert get_cap() == 4300
-    finally:
-        if get_cap:
-            sys.set_int_max_str_digits(before)
+    value = fp(10**5010 // 7, 5010)
+    text = fx_to_decimal_string(value, ErrorLedger(1), 5000)
+    assert text == "0." + ("142857" * 834)[:5000]
+    assert int_str_cap() in (None, 4300)
+
+
+def test_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
+    assert repr(fp(-250, 3)) == "FixedPoint(sign=-1, magnitude=250, scale=3)"
+    text = repr(fp(10**5010 // 7, 5010))
+    assert text == f"FixedPoint(sign=1, magnitude={'142857' * 835}, scale=5010)"
+    assert int_str_cap() in (None, 4300)
 
 
 def test_decimal_string_negative_value():

@@ -127,6 +127,17 @@ def test_compute_pi_component_term_counts():
     assert len(compute_pi(PiFormulaId.MACHIN_ORACLE, context_for_formula(PiFormulaId.MACHIN_ORACLE, 20)).component_terms) == 2
 
 
+def test_result_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
+    # a 5000-digit result holds a magnitude past CPython's default 4300-digit
+    # int/str limit; its repr must still render, without lifting the cap
+    method = PiFormulaId.MACHIN_ORACLE
+    result = compute_pi(method, context_for_formula(method, 5000))
+    text = repr(result)
+    assert text.startswith("EvalResult(value=FixedPoint(sign=1, magnitude=314159265358979")
+    assert f"terms_used={result.terms_used}" in text
+    assert int_str_cap() in (None, 4300)
+
+
 @pytest.mark.parametrize("digits", (10, 30, 50, 128))
 def test_cross_formula_agreement(digits):
     checks = cross_formula_agreement(context_for_verify(digits))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
 from rationalpi.series import (
@@ -153,6 +154,40 @@ def test_eval_matches_exact_rational_oracle(digits):
         # and against a rigorous bracket of the full series value
         lo, hi = oracles.series_bracket(*fields, result.terms_used)
         assert value - allowance <= lo and hi <= value + allowance
+
+
+# q_den from every power of two up to 2**20 and from random non-powers
+Q_DENS = st.one_of(
+    st.integers(min_value=1, max_value=20).map(lambda s: 1 << s),
+    st.integers(min_value=3, max_value=2**20).filter(lambda q: q & (q - 1)),
+)
+PREFACTOR_DENS = st.one_of(
+    st.integers(min_value=0, max_value=20).map(lambda s: 1 << s),
+    st.integers(min_value=3, max_value=2**20),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=st.builds(
+        SeriesSpec,
+        prefactor_num=st.integers(min_value=1, max_value=1000),
+        prefactor_den=PREFACTOR_DENS,
+        offset=st.integers(min_value=1, max_value=1000),
+        step=st.integers(min_value=1, max_value=1000),
+        q_den=Q_DENS,
+    ),
+    digits=st.integers(min_value=5, max_value=150),
+)
+def test_ledger_covers_exact_series_value(spec, digits):
+    ctx = context_for([spec], digits)
+    result = eval_series(spec, ctx)
+    ulp = Fraction(1, 10**ctx.scale)
+    # the limit lies between the partial sum and the partial sum plus the
+    # first omitted term, so both ends must sit within the certified error
+    lo, hi = oracles.series_bracket(*spec_fields(spec), result.terms_used)
+    value = result.value.as_fraction()
+    assert max(abs(value - lo), abs(value - hi)) <= result.error_ulps * ulp
 
 
 def test_alternating_remainder_bounded_by_first_omitted_term():
