@@ -274,7 +274,10 @@ def _csv_field(cell: str) -> str:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
+    """Time every pi route, printing the times only once the certified
+    digits of all routes agree: a fast wrong answer must not look like a win."""
+    rows = []
+    values = {}
     for formula_id in PiFormulaId:
         best = None
         result = None
@@ -284,7 +287,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             result = compute_pi(formula_id, ctx)
             elapsed = (time.perf_counter() - t0) * 1000
             best = elapsed if best is None else min(best, elapsed)
-        print(f"{formula_id.value:<10}{args.digits:>8}{result.terms_used:>8}{best:>10.2f}")
+        try:
+            values[formula_id.value] = _render_digits(result, args.digits)
+        except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
+            print(f"precision failure: {formula_id.value}: {exc}", file=sys.stderr)
+            return 1
+        rows.append((formula_id.value, result.terms_used, best))
+    if len(set(values.values())) > 1:
+        # every value reads "3." and then the digits
+        first = next(i for i, chars in enumerate(zip(*values.values())) if len(set(chars)) > 1)
+        detail = ", ".join(f"{name} has {value[first]!r}" for name, value in values.items())
+        print(f"pi routes disagree at digit {first - 1} after the point: {detail}",
+              file=sys.stderr)
+        return 1
+    print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
+    for name, terms, best in rows:
+        print(f"{name:<10}{args.digits:>8}{terms:>8}{best:>10.2f}")
     return 0
 
 
@@ -332,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser("bench", help="time the pi routes")
+    p_bench = sub.add_parser(
+        "bench", help="time the pi routes; exits 1 unless their certified digits agree"
+    )
     p_bench.add_argument("--digits", type=_positive_int, default=2000)
     p_bench.add_argument("--repeat", type=_positive_int, default=3)
     p_bench.set_defaults(func=cmd_bench)

@@ -223,16 +223,19 @@ def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
     the flat rule is what keeps the ledger a closed-form upper bound.
     A power of two ``m == 2**s`` divides by ``magnitude >> s``, which equals
     ``magnitude // m`` for the non-negative magnitude and skips long division.
+    The test builds one ``2**s`` to compare with ``m``; ``m & (m - 1)``
+    would build two integers as large as ``m`` with a borrow across them.
     """
     if m == 0:
         raise ZeroDivisionError("division by zero")
     if m < 0:
         raise ValueError("divisor must be positive")
     ledger.charge(1)
-    if m & (m - 1):
-        magnitude = a.magnitude // m
+    shift = m.bit_length() - 1
+    if m == 1 << shift:
+        magnitude = a.magnitude >> shift
     else:
-        magnitude = a.magnitude >> (m.bit_length() - 1)
+        magnitude = a.magnitude // m
     return FixedPoint(a.sign if magnitude else 0, magnitude, a.scale)
 
 

@@ -13,9 +13,9 @@ layer's mechanics and none of the series parameters.
 
 :data:`PI_FORMULAS` is the one table of routes: evaluation, planning, the
 cross-route agreement check and the command line all expand its weighted
-arctangents into the weighted case stacks and series that :func:`_evaluate`
-sums.  :func:`compare_convergence` quantifies how many terms each route
-needs per digit.
+arctangents into the weighted case stacks and series that one
+:func:`eval_series` call per route sums.  :func:`compare_convergence`
+quantifies how many terms each route needs per digit.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .fixedpoint import (
-    FixedPoint,
-    PrecisionContext,
-    fx_add,
-    fx_mul_small,
-    guaranteed_digit_count,
-)
+from .fixedpoint import PrecisionContext
 from .series import (
     CASES,
     CaseId,
@@ -140,39 +134,24 @@ def _series(parts: _Parts) -> list[tuple[int, SeriesSpec]]:
     ]
 
 
-def _evaluate(parts: _Parts, ctx: PrecisionContext) -> EvalResult:
-    """Evaluate ``sum(weight * item)`` at the context's scale, a case
-    through :func:`sun` and a series through :func:`eval_series`.
-
-    Adds and small multiplies are exact, so the error bound is
-    ``sum(|weight| * item error)``.
-    """
-    total = FixedPoint.from_int(0, ctx.scale)
-    error_ulps = 0
-    component_terms: list[int] = []
-    for weight, item in parts:
-        result = sun(item, ctx) if isinstance(item, CaseParams) else eval_series(item, ctx)
-        total = fx_add(total, fx_mul_small(result.value, weight))
-        error_ulps += abs(weight) * result.error_ulps
-        component_terms.extend(result.component_terms)
-    return EvalResult(
-        value=total,
-        terms_used=sum(component_terms),
-        error_ulps=error_ulps,
-        guaranteed_digits=guaranteed_digit_count(ctx.scale, error_ulps),
-        component_terms=tuple(component_terms),
-    )
-
-
 def _plan(parts: _Parts, target_digits: int) -> PrecisionContext:
     """Context sized for the series ``parts`` evaluates, each counted once
     at its own prefactor: weights multiply error, not operations."""
     return context_for(dict.fromkeys(spec for _, spec in _series(parts)), target_digits)
 
 
-def sun(case: CaseParams | CaseId, ctx: PrecisionContext) -> EvalResult:
-    """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for a case."""
-    return _evaluate(_stack(_case(case)), ctx)
+def sun(
+    case: CaseParams | CaseId | Iterable[tuple[int, CaseParams | CaseId]],
+    ctx: PrecisionContext,
+) -> EvalResult:
+    """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for a case,
+    or ``sum(weight * arctan(x/(2-x)))`` over weighted cases.
+
+    All the series of all the cases go to :func:`eval_series` as one stack,
+    so the cases of a pi route share one pass over their denominators.
+    """
+    cases = [(1, case)] if isinstance(case, (CaseParams, CaseId)) else case
+    return eval_series(_series([(weight, _case(c)) for weight, c in cases]), ctx)
 
 
 @dataclass(frozen=True)
@@ -200,7 +179,7 @@ def verify_arctan_identity(
     parts = [
         (weight, overrides.get(spec, spec)) for weight, spec in _series(_parts(_IDENTITY_TERMS))
     ]
-    residual = _evaluate(parts, ctx)
+    residual = eval_series(parts, ctx)
     residual_ulps = residual.value.magnitude
     bound_ulps = residual.error_ulps
     return IdentityCheck(residual_ulps <= bound_ulps, residual_ulps, bound_ulps, ctx.scale)
@@ -256,13 +235,17 @@ def combined_series_specs() -> tuple[SeriesSpec, ...]:
 def compute_pi(formula: PiFormula | PiFormulaId, ctx: PrecisionContext) -> EvalResult:
     """Assemble pi along the requested route.
 
-    CASE1 and COMBINED go through the arctangent decomposition; the Machin
-    route uses plain ``arctan(1/n)`` series so agreement between the routes
-    is meaningful.
+    CASE1 and COMBINED go through the arctangent decomposition, their cases
+    in one :func:`sun` call so that all their series share one pass; the
+    Machin route uses plain ``arctan(1/n)`` series so agreement between the
+    routes is meaningful.
     """
     if isinstance(formula, PiFormulaId):
         formula = PI_FORMULAS[formula]
-    return _evaluate(_parts(formula.terms), ctx)
+    parts = _parts(formula.terms)
+    if all(isinstance(item, CaseParams) for _, item in parts):
+        return sun(parts, ctx)
+    return eval_series(_series(parts), ctx)
 
 
 @dataclass(frozen=True)

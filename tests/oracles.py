@@ -116,3 +116,29 @@ def brute_terms_needed(
     while abs(series_term(pn, pd, offset, step, q_den, n)) >= bound:
         n += 1
     return n
+
+
+def stack_floor_sum(
+    stack: list[tuple[int, tuple[int, int, int, int, int]]], scale: int
+) -> tuple[int, int, tuple[int, ...]]:
+    """Plain-integer value, certificate and term counts of a weighted stack
+    of ``(weight, (pn, pd, offset, step, q_den))`` series at ``scale``.
+
+    Series i sums ``N_i = max(1, brute_terms_needed(..., scale))`` terms,
+    each truncated to ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` ulps.
+    Returns ``sum(w * sum((-1)^k * term_k))``, ``sum(|w| * (2*N_i + 1))``
+    and the ``N_i``.
+    """
+    value = certificate = 0
+    counts = []
+    for weight, (pn, pd, offset, step, q_den) in stack:
+        n = max(1, brute_terms_needed(pn, pd, offset, step, q_den, scale))
+        numerator = pn * 10**scale
+        partial = 0
+        for k in range(n):
+            term = numerator // (pd * q_den**k * (offset + step * k))
+            partial += -term if k & 1 else term
+        value += weight * partial
+        certificate += abs(weight) * (2 * n + 1)
+        counts.append(n)
+    return value, certificate, tuple(counts)

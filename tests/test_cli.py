@@ -3,10 +3,14 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from rationalpi import cli
 from rationalpi.cli import main
+from rationalpi.fixedpoint import FixedPoint
+from rationalpi.formulas import PiFormulaId
 
 import oracles
 
@@ -113,6 +117,34 @@ def test_happy_paths_exit_zero(capsys):
     ):
         code, _, _ = run_cli(argv, capsys)
         assert code == 0, argv
+
+
+def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
+    code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
+    assert code == 0 and err == ""
+    assert [line.split()[:2] for line in out.splitlines()[1:]] == [
+        ["case1", "40"], ["combined", "40"], ["machin", "40"]
+    ]
+
+    real = cli.compute_pi
+
+    def faulty(formula_id, ctx):
+        # machin off by one unit in the 30th digit: fast, certified-looking, wrong
+        result = real(formula_id, ctx)
+        if formula_id is PiFormulaId.MACHIN_ORACLE:
+            units = result.value.signed_units + 10 ** (ctx.scale - 30)
+            result = replace(result, value=FixedPoint.from_scaled(units, ctx.scale))
+        return result
+
+    monkeypatch.setattr(cli, "compute_pi", faulty)
+    code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    # the added unit carries into the 29th digit: ...327|9 becomes ...328|0
+    assert err == (
+        "pi routes disagree at digit 29 after the point: "
+        "case1 has '7', combined has '7', machin has '8'\n"
+    )
 
 
 VERIFY_50 = """\

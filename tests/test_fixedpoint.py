@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rationalpi.fixedpoint import (
     BoundaryStraddleError,
@@ -158,6 +158,24 @@ def test_div_small_is_floor_division_with_one_ulp(magnitude, sign, m):
     assert result.magnitude == magnitude // m
     assert result.signed_units == sign * (magnitude // m)
     assert result.scale == 7
+    assert ledger.ulps == 1
+
+
+@PROPERTY_SETTINGS
+@given(
+    s=st.integers(min_value=0, max_value=2 * 10**5),
+    offset=st.sampled_from((-1, 0, 1)),
+    sign=SIGNS,
+    rng=st.randoms(use_true_random=False),
+)
+def test_div_small_by_huge_powers_of_two_and_neighbours(s, offset, sign, rng):
+    # 2**s as large as the shifts of the shared series pass, and 2**s +- 1
+    m = (1 << s) + offset
+    assume(m >= 1)
+    magnitude = rng.getrandbits(s + rng.randrange(0, 200))
+    ledger = ErrorLedger()
+    result = fx_div_small(fp(sign * magnitude, 7), m, ledger)
+    assert result.signed_units == sign * (magnitude // m)
     assert ledger.ulps == 1
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rationalpi import series
 from rationalpi.fixedpoint import ErrorLedger, fx_to_decimal_string
 from rationalpi.formulas import (
     PI_FORMULAS,
@@ -185,6 +186,90 @@ def test_combined_stack_sums_to_pi():
         total_hi += hi
     pi_lo, pi_hi = oracles.pi_bracket(40)
     assert total_lo <= pi_hi and pi_lo <= total_hi
+
+
+# --- plain-integer oracle for every evaluated stack -----------------------------
+
+
+def paper_stack(x_den, weight, jupiter_num=1):
+    """``weight * arctan(x/(2-x))`` at x = 1/x_den, written out from the
+    paper: SATURN x/4 over 4k+1, JUPITER x^2/8 over 2k+1, MARS x^3/4 over
+    4k+3, component weights 2, 2, 1, ratio x^4/4."""
+    q = 4 * x_den**4
+    return [
+        (2 * weight, (1, 4 * x_den, 1, 4, q)),
+        (2 * weight, (jupiter_num, 8 * x_den**2, 1, 2, q)),
+        (weight, (1, 4 * x_den**3, 3, 4, q)),
+    ]
+
+
+ROUTE_STACKS = {
+    PiFormulaId.CASE1: paper_stack(1, 4),
+    PiFormulaId.COMBINED: paper_stack(2, 8) + paper_stack(4, 4),
+    PiFormulaId.MACHIN_ORACLE: [(16, (1, 5, 1, 2, 25)), (-4, (1, 239, 1, 2, 239**2))],
+}
+CASE_X_DEN = {CaseId.X1: 1, CaseId.X_HALF: 2, CaseId.X_QUARTER: 4}
+ORACLE_DIGITS = (1, 9, 50, 128, 301)
+
+
+@pytest.mark.parametrize("digits", ORACLE_DIGITS)
+def test_routes_and_cases_equal_plain_integer_floor_sums(digits):
+    for route, stack in ROUTE_STACKS.items():
+        ctx = context_for_formula(route, digits)
+        result = compute_pi(route, ctx)
+        value, certificate, counts = oracles.stack_floor_sum(stack, ctx.scale)
+        assert result.value.signed_units == value, (route, digits)
+        assert result.error_ulps == certificate, (route, digits)
+        assert result.component_terms == counts, (route, digits)
+    for case_id, x_den in CASE_X_DEN.items():
+        ctx = context_for_case(case_id, digits)
+        result = sun(case_id, ctx)
+        value, certificate, counts = oracles.stack_floor_sum(paper_stack(x_den, 1), ctx.scale)
+        assert (result.value.signed_units, result.error_ulps) == (value, certificate), case_id
+        assert result.component_terms == counts, case_id
+
+
+@pytest.mark.parametrize("digits", ORACLE_DIGITS)
+@pytest.mark.parametrize("fault", (False, True))
+def test_identity_check_equals_plain_integer_floor_sums(digits, fault):
+    # 2*arctan(1/3) + arctan(1/7) - arctan(1), optionally with JUPITER(x=1/2)
+    # given a doubled prefactor numerator
+    stack = paper_stack(2, 2, jupiter_num=2 if fault else 1)
+    stack += paper_stack(4, 1) + paper_stack(1, -1)
+    overrides = None
+    if fault:
+        good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
+        overrides = {good: SeriesSpec(2, good.prefactor_den, good.offset, good.step, good.q_den)}
+    ctx = context_for_verify(digits)
+    check = verify_arctan_identity(ctx, spec_overrides=overrides)
+    value, certificate, _ = oracles.stack_floor_sum(stack, ctx.scale)
+    assert (check.residual_ulps, check.bound_ulps) == (abs(value), certificate)
+    assert check.passed == (not fault)
+
+
+def test_shared_pass_makes_one_long_division_per_denominator(monkeypatch):
+    divisors = []
+    real = series.fx_div_small
+
+    def recording(a, m, ledger):
+        divisors.append(m)
+        return real(a, m, ledger)
+
+    monkeypatch.setattr(series, "fx_div_small", recording)
+    # (divisions by a non-power of two, divisions by an odd number); every
+    # distinct denominator gets one base division and d = 1 is the shift by 2**0
+    expected = {PiFormulaId.COMBINED: (121, 122), PiFormulaId.CASE1: (367, 368)}
+    for route, (long_divisions, bases) in expected.items():
+        divisors.clear()
+        compute_pi(route, context_for_formula(route, 100))
+        assert sum(1 for m in divisors if m & (m - 1)) == long_divisions, route
+        assert sum(1 for m in divisors if m & 1) == bases, route
+    # Machin keeps the running power: the prefactor, every ratio and every
+    # denominator but d = 1 is a long division
+    divisors.clear()
+    route = PiFormulaId.MACHIN_ORACLE
+    result = compute_pi(route, context_for_formula(route, 100))
+    assert sum(1 for m in divisors if m & (m - 1)) == 2 * result.terms_used - 2
 
 
 # --- misprint guards --------------------------------------------------------------

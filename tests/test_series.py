@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
 from rationalpi.series import (
@@ -186,6 +186,65 @@ def test_ledger_covers_exact_series_value(spec, digits):
     # the limit lies between the partial sum and the partial sum plus the
     # first omitted term, so both ends must sit within the certified error
     lo, hi = oracles.series_bracket(*spec_fields(spec), result.terms_used)
+    value = result.value.as_fraction()
+    assert max(abs(value - lo), abs(value - hi)) <= result.error_ulps * ulp
+
+
+# weighted stacks: small offsets, steps and numerators so that series share
+# denominators and numerators, with odd steps for even denominators
+STACK_SPECS = st.builds(
+    SeriesSpec,
+    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_den=st.one_of(
+        st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
+        st.integers(min_value=3, max_value=100),
+    ),
+    offset=st.integers(min_value=1, max_value=6),
+    step=st.integers(min_value=1, max_value=4),
+    q_den=st.one_of(
+        st.integers(min_value=1, max_value=12).map(lambda s: 1 << s),
+        st.integers(min_value=3, max_value=300),
+    ),
+)
+STACKS = st.lists(
+    st.tuples(st.integers(min_value=-20, max_value=20), STACK_SPECS), min_size=1, max_size=6
+)
+# one series twice, so two terms share numerator, denominator and exponent
+TWICE = [
+    (3, SeriesSpec(2, 8, 1, 2, 4)),
+    (-1, SeriesSpec(2, 8, 1, 2, 4)),
+    (1, SeriesSpec(1, 2, 3, 4, 16)),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
+@example(stack=TWICE, digits=40)
+def test_stack_equals_plain_integer_floor_sums(stack, digits):
+    ctx = context_for([spec for _, spec in stack], digits)
+    result = eval_series(stack, ctx)
+    value, certificate, counts = oracles.stack_floor_sum(
+        [(weight, spec_fields(spec)) for weight, spec in stack], ctx.scale
+    )
+    assert result.value.signed_units == value
+    assert result.error_ulps == certificate
+    assert result.component_terms == counts
+    assert result.terms_used == sum(counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=STACKS, digits=st.integers(min_value=5, max_value=150))
+@example(stack=TWICE, digits=40)
+def test_ledger_covers_exact_stack_value(stack, digits):
+    ctx = context_for([spec for _, spec in stack], digits)
+    result = eval_series(stack, ctx)
+    ulp = Fraction(1, 10**ctx.scale)
+    # the weighted limit lies between the weighted ends of each series' bracket
+    lo = hi = Fraction(0)
+    for (weight, spec), n in zip(stack, result.component_terms):
+        ends = sorted(weight * end for end in oracles.series_bracket(*spec_fields(spec), n))
+        lo += ends[0]
+        hi += ends[1]
     value = result.value.as_fraction()
     assert max(abs(value - lo), abs(value - hi)) <= result.error_ulps * ulp
 
