@@ -6,6 +6,9 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
+``pi``, ``arctan``, ``verify`` and ``bench`` refuse ``--digits`` above
+``DEFAULT_MAX_DIGITS`` before any planning, so no request runs for hours.
+
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error.
 """
@@ -141,10 +144,6 @@ def _check_fixture(path: str, value: str) -> int:
 
 
 def cmd_pi(args: argparse.Namespace) -> int:
-    if args.digits > args.max_digits:
-        return _argument_error(
-            f"--digits {args.digits} exceeds the configured maximum {args.max_digits}"
-        )
     formula_id = PiFormulaId(args.method)
     t0 = time.perf_counter()
     try:
@@ -336,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_at.add_argument("--digits", type=_positive_int, required=True,
                       help="fractional digits to emit (certified)")
     p_at.add_argument("--json", action="store_true", help="emit the full JSON report")
-    p_at.set_defaults(func=cmd_arctan)
+    p_at.set_defaults(func=cmd_arctan, max_digits=DEFAULT_MAX_DIGITS)
 
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
     p_ver.add_argument("--digits", type=_positive_int, default=50,
                        help="working digit target, at least 10 (default: 50)")
     p_ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p_ver.set_defaults(func=cmd_verify)
+    p_ver.set_defaults(func=cmd_verify, max_digits=DEFAULT_MAX_DIGITS)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")
     p_cmp.add_argument("--digits", type=_positive_int, required=True,
@@ -355,13 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--digits", type=_positive_int, default=2000)
     p_bench.add_argument("--repeat", type=_positive_int, default=3)
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, max_digits=DEFAULT_MAX_DIGITS)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # every subcommand that evaluates series is capped, before it plans
+    max_digits = getattr(args, "max_digits", None)
+    if max_digits is not None and args.digits > max_digits:
+        return _argument_error(
+            f"--digits {args.digits} exceeds the configured maximum {max_digits}"
+        )
     return args.func(args)
 
 

@@ -11,6 +11,12 @@ upper bound on ``|stored - true|``, which is what lets
 All operands of one computation share a single scale, fixed up front by a
 :class:`PrecisionContext`.  Mixing scales raises instead of rescaling, so
 there is no hidden rounding anywhere in the layer.
+
+A :class:`FixedPoint` has two constructors: the public, validating
+``FixedPoint(sign, magnitude, scale)``, and the private :func:`_fixed`,
+which skips the checks.  Only ``fx_add``, ``fx_mul_small`` and
+``fx_div_small`` use the private one, because they run several times per
+series term and their arithmetic on valid operands proves the invariants.
 """
 
 from __future__ import annotations
@@ -55,26 +61,58 @@ class BoundaryStraddleError(ArithmeticError):
     so no digit prefix of the requested length can be emitted honestly."""
 
 
-@dataclass(frozen=True, repr=False)
 class FixedPoint:
     """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
 
     Zero is canonical: sign 0 and magnitude 0 together.
+
+    There are two constructors.  ``FixedPoint(sign, magnitude, scale)``, and
+    :meth:`from_int` and :meth:`from_scaled` through it, is the public one:
+    it checks all four invariants (sign in {-1, 0, 1}, magnitude and scale
+    non-negative, canonical zero) and raises :class:`ValueError` otherwise.
+    :func:`_fixed` is the private one the ``fx_*`` operations build their
+    results with: it skips the checks, because each caller's arithmetic
+    already establishes them from valid operands.  Fields are read-only
+    either way, and values compare and hash by their fields.
     """
 
-    sign: int
-    magnitude: int
-    scale: int
+    __slots__ = ("sign", "magnitude", "scale")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {self.sign}")
-        if self.magnitude < 0:
+    def __init__(self, sign: int, magnitude: int, scale: int):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
+        if magnitude < 0:
             raise ValueError("magnitude must be non-negative")
-        if self.scale < 0:
+        if scale < 0:
             raise ValueError("scale must be non-negative")
-        if (self.magnitude == 0) != (self.sign == 0):
+        if (magnitude == 0) != (sign == 0):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
+        _set_sign(self, sign)
+        _set_magnitude(self, magnitude)
+        _set_scale(self, scale)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable FixedPoint")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable FixedPoint")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validating constructor; the
+        # default slot restore would assign fields and hit __setattr__
+        return FixedPoint, (self.sign, self.magnitude, self.scale)
+
+    def __eq__(self, other):
+        if other.__class__ is not FixedPoint:
+            return NotImplemented
+        return (
+            self.sign == other.sign
+            and self.magnitude == other.magnitude
+            and self.scale == other.scale
+        )
+
+    def __hash__(self):
+        return hash((self.sign, self.magnitude, self.scale))
 
     @classmethod
     def from_int(cls, n: int, scale: int) -> "FixedPoint":
@@ -108,6 +146,26 @@ class FixedPoint:
     def as_fraction(self) -> Fraction:
         """Exact rational value of the stored number."""
         return Fraction(self.signed_units, 10**self.scale)
+
+
+# the slots' own setters, which the read-only __setattr__ does not intercept
+_set_sign = FixedPoint.sign.__set__
+_set_magnitude = FixedPoint.magnitude.__set__
+_set_scale = FixedPoint.scale.__set__
+_new = object.__new__
+
+
+def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
+    """A :class:`FixedPoint` built without the constructor's checks.
+
+    Only for results whose invariants the caller's arithmetic proves; each
+    call site says why.
+    """
+    value = _new(FixedPoint)
+    _set_sign(value, sign)
+    _set_magnitude(value, magnitude)
+    _set_scale(value, scale)
+    return value
 
 
 class ErrorLedger:
@@ -190,15 +248,31 @@ def guaranteed_digit_count(scale: int, ulps: int) -> int:
     return max(0, scale - _ceil_log10(ulps + 1) - 1)
 
 
-def _require_same_scale(a: FixedPoint, b: FixedPoint) -> None:
-    if a.scale != b.scale:
-        raise ScaleMismatchError(f"scales differ: {a.scale} vs {b.scale}")
-
-
 def fx_add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    """Exact sum; integer addition contributes no error."""
-    _require_same_scale(a, b)
-    return FixedPoint.from_scaled(a.signed_units + b.signed_units, a.scale)
+    """Exact sum; integer addition contributes no error.
+
+    Magnitudes are added when the signs agree and the smaller is taken from
+    the larger when they differ, so no whole integer is negated.  A zero
+    operand returns the other one as is.
+    """
+    scale = a.scale
+    if b.scale != scale:
+        raise ScaleMismatchError(f"scales differ: {scale} vs {b.scale}")
+    sign = a.sign
+    if not b.sign:
+        return a
+    if not sign:
+        return b
+    if sign == b.sign:
+        # both magnitudes positive, so the sum is positive under their sign
+        return _fixed(sign, a.magnitude + b.magnitude, scale)
+    if a.magnitude > b.magnitude:
+        # a positive difference keeps the larger operand's sign
+        return _fixed(sign, a.magnitude - b.magnitude, scale)
+    if a.magnitude < b.magnitude:
+        return _fixed(b.sign, b.magnitude - a.magnitude, scale)
+    # equal magnitudes of opposite sign cancel to the canonical zero
+    return _fixed(0, 0, scale)
 
 
 def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
@@ -212,8 +286,14 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
     if m == 1:
         return a
     if m == -1:
-        return FixedPoint(-a.sign, a.magnitude, a.scale)
-    return FixedPoint.from_scaled(a.signed_units * m, a.scale)
+        # flipping a valid sign keeps zero at sign 0
+        return _fixed(-a.sign, a.magnitude, a.scale)
+    if not m or not a.sign:
+        return _fixed(0, 0, a.scale)
+    # a nonzero magnitude times |m| >= 2 is positive; the sign is the product
+    if m > 0:
+        return _fixed(a.sign, a.magnitude * m, a.scale)
+    return _fixed(-a.sign, a.magnitude * -m, a.scale)
 
 
 def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
@@ -230,13 +310,16 @@ def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
         raise ZeroDivisionError("division by zero")
     if m < 0:
         raise ValueError("divisor must be positive")
-    ledger.charge(1)
+    # ErrorLedger.charge(1) without the call: one ulp is never negative
+    ledger._ulps += 1
     shift = m.bit_length() - 1
     if m == 1 << shift:
         magnitude = a.magnitude >> shift
     else:
         magnitude = a.magnitude // m
-    return FixedPoint(a.sign if magnitude else 0, magnitude, a.scale)
+    # a floor of a non-negative magnitude is non-negative; a zero quotient
+    # takes sign 0, any other keeps the dividend's sign
+    return _fixed(a.sign if magnitude else 0, magnitude, a.scale)
 
 
 def fx_to_decimal_string(a: FixedPoint, ledger: ErrorLedger, want_digits: int) -> str:

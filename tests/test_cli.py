@@ -105,6 +105,44 @@ def test_pi_respects_configured_maximum(capsys):
     assert "maximum" in err
 
 
+class PlanningReached(Exception):
+    pass
+
+
+def _refuse_to_plan(*args, **kwargs):
+    raise PlanningReached
+
+
+@pytest.fixture
+def planning_blocked(monkeypatch):
+    """Make every planner and evaluator the CLI calls raise
+    :class:`PlanningReached`, so a test can tell a refusal made up front
+    from one made after planning started."""
+    for name in ("context_for_formula", "context_for_case", "context_for_verify",
+                 "compute_pi", "sun", "verify_arctan_identity"):
+        monkeypatch.setattr(cli, name, _refuse_to_plan)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["pi", "--digits"],
+        ["arctan", "--case", "1", "--digits"],
+        ["verify", "--digits"],
+        ["bench", "--repeat", "1", "--digits"],
+    ),
+)
+def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
+    over = str(cli.DEFAULT_MAX_DIGITS + 1)
+    code, out, err = run_cli(argv + [over], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--digits {over} exceeds the configured maximum" in err
+    # at the cap itself the request goes on to plan
+    with pytest.raises(PlanningReached):
+        main(argv + [str(cli.DEFAULT_MAX_DIGITS)])
+
+
 def test_happy_paths_exit_zero(capsys):
     for argv in (
         ["pi", "--digits", "12"],

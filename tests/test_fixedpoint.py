@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -47,6 +49,50 @@ def test_invalid_fields_rejected():
 def test_as_fraction_roundtrip():
     assert fp(-375, 3).as_fraction() == Fraction(-375, 1000)
     assert FixedPoint.from_int(7, 4).as_fraction() == 7
+
+
+# --- object contract ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ("sign", "magnitude", "scale"))
+def test_fields_are_read_only(field):
+    value = FixedPoint(1, 5, 4)
+    with pytest.raises(AttributeError):
+        setattr(value, field, 2)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == FixedPoint(1, 5, 4)
+
+
+def test_equality_and_hash_follow_the_fields():
+    assert FixedPoint(1, 5, 4) == FixedPoint(1, 5, 4)
+    assert hash(FixedPoint(1, 5, 4)) == hash(FixedPoint(1, 5, 4))
+    assert hash(fx_add(fp(2, 4), fp(3, 4))) == hash(FixedPoint(1, 5, 4))
+    assert len({FixedPoint(1, 5, 4), fp(5, 4), FixedPoint(-1, 5, 4)}) == 2
+    assert FixedPoint(1, 5, 4) != FixedPoint(-1, 5, 4)
+    assert FixedPoint(1, 5, 4) != FixedPoint(1, 5, 5)
+    assert FixedPoint(1, 5, 4) != FixedPoint(1, 6, 4)
+
+
+def test_equal_only_to_fixed_points():
+    assert FixedPoint(1, 5, 4) != (1, 5, 4)
+    assert (1, 5, 4) != FixedPoint(1, 5, 4)
+    assert FixedPoint(0, 0, 4) != 0
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))),
+    ids=("copy", "deepcopy", "pickle"),
+)
+def test_copies_and_pickles_are_equal(duplicate):
+    for value in (FixedPoint(1, 5, 4), fp(0, 3), fp(-(10**5010) // 7, 5010)):
+        twin = duplicate(value)
+        assert twin == value and type(twin) is FixedPoint
+        with pytest.raises(AttributeError):
+            twin.sign = 0
 
 
 # --- fx_add -------------------------------------------------------------------
@@ -193,6 +239,50 @@ def test_signed_units_is_sign_times_magnitude(magnitude, sign):
 def test_mul_small_is_exact_product(magnitude, sign, m):
     a = fp(sign * magnitude, 5)
     assert fx_mul_small(a, m) == fp(a.signed_units * m, 5)
+
+
+# --- results satisfy the public constructor's invariants ------------------------
+
+
+def assert_valid(value: FixedPoint, scale: int) -> None:
+    """``value`` satisfies every check the public constructor makes."""
+    assert type(value) is FixedPoint
+    assert value.sign in (-1, 0, 1)
+    assert value.magnitude >= 0
+    assert (value.magnitude == 0) == (value.sign == 0)
+    assert value.scale == scale
+    assert FixedPoint(value.sign, value.magnitude, value.scale) == value
+
+
+UNITS = st.one_of(st.just(0), st.integers(min_value=-(10**3000), max_value=10**3000))
+
+
+@PROPERTY_SETTINGS
+@given(a=UNITS, b=UNITS, cancel=st.booleans())
+def test_add_results_satisfy_invariants(a, b, cancel):
+    if cancel:
+        b = -a  # mixed signs that cancel exactly
+    for x, y in ((a, b), (b, a), (a, 0), (0, a)):
+        result = fx_add(fp(x, 9), fp(y, 9))
+        assert_valid(result, 9)
+        assert result.signed_units == x + y
+
+
+@PROPERTY_SETTINGS
+@given(a=UNITS, m=st.one_of(st.sampled_from((-2, -1, 0, 1, 2)), st.integers(-(2**64), 2**64)))
+def test_mul_small_results_satisfy_invariants(a, m):
+    result = fx_mul_small(fp(a, 9), m)
+    assert_valid(result, 9)
+    assert result.signed_units == a * m
+
+
+@PROPERTY_SETTINGS
+@given(a=UNITS, m=st.one_of(DIVISORS, st.integers(min_value=1, max_value=10**3001)))
+def test_div_small_results_satisfy_invariants(a, m):
+    # divisors above the magnitude truncate to zero, which must be canonical
+    result = fx_div_small(fp(a, 9), m, ErrorLedger())
+    assert_valid(result, 9)
+    assert result.magnitude == abs(a) // m
 
 
 # --- ledger -------------------------------------------------------------------
