@@ -6,8 +6,8 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-``pi``, ``arctan``, ``verify`` and ``bench`` refuse ``--digits`` above
-``DEFAULT_MAX_DIGITS`` before any planning, so no request runs for hours.
+Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS`` before
+any planning, so no request runs for hours.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error.
@@ -16,10 +16,9 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .fixedpoint import (
     BoundaryStraddleError,
@@ -46,30 +45,22 @@ DEFAULT_MAX_DIGITS = 100_000
 JSON_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class OutputReport:
-    """Everything one invocation computed, ready for JSON emission."""
+class OutputReport(
+    namedtuple(
+        "OutputReport",
+        "method requested_digits guaranteed_digits terms_used error_ulps elapsed_ms value",
+    )
+):
+    """Everything one invocation computed, ready for JSON emission: the
+    report is ``schema`` and then these fields, in this order."""
 
-    method: str
-    requested_digits: int
-    guaranteed_digits: int
-    terms_used: list[int]
-    error_ulps: int
-    elapsed_ms: int
-    value: str
+    __slots__ = ()
 
     def to_json(self) -> str:
-        payload = {
-            "schema": JSON_SCHEMA_VERSION,
-            "method": self.method,
-            "requested_digits": self.requested_digits,
-            "guaranteed_digits": self.guaranteed_digits,
-            "terms_used": self.terms_used,
-            "error_ulps": self.error_ulps,
-            "elapsed_ms": self.elapsed_ms,
-            "value": self.value,
-        }
-        return json.dumps(payload)
+        # imported on the two JSON paths only: plain output never needs it
+        import json
+
+        return json.dumps({"schema": JSON_SCHEMA_VERSION, **self._asdict()})
 
 
 def _positive_int(text: str) -> int:
@@ -191,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.inject_fault:
         # a doubled prefactor the identity check must catch
         good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
-        overrides = {good: replace(good, prefactor_num=2 * good.prefactor_num)}
+        overrides = {good: good._replace(prefactor_num=2 * good.prefactor_num)}
     identity = verify_arctan_identity(ctx, spec_overrides=overrides)
     lines.append(
         (
@@ -232,21 +223,10 @@ def _row_cells(row) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = compare_convergence(args.digits)
     if args.format == "json":
-        payload = {
-            "schema": JSON_SCHEMA_VERSION,
-            "target_digits": args.digits,
-            "rows": [
-                {
-                    "method": row.method,
-                    "ratio": row.ratio,
-                    "terms_per_digit": row.terms_per_digit,
-                    "terms_for_target": row.terms_for_target,
-                    "symbolic_terms": row.symbolic_terms,
-                    "notes": row.notes,
-                }
-                for row in rows
-            ],
-        }
+        import json
+
+        payload = {"schema": JSON_SCHEMA_VERSION, "target_digits": args.digits,
+                   "rows": [row._asdict() for row in rows]}
         print(json.dumps(payload))
         return 0
     cells = [_row_cells(row) for row in rows]
@@ -347,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--digits", type=_positive_int, required=True,
                        help="digit target the term counts refer to")
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, max_digits=DEFAULT_MAX_DIGITS)
 
     p_bench = sub.add_parser(
         "bench", help="time the pi routes; exits 1 unless their certified digits agree"
@@ -361,11 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # every subcommand that evaluates series is capped, before it plans
-    max_digits = getattr(args, "max_digits", None)
-    if max_digits is not None and args.digits > max_digits:
+    # every subcommand is capped, before it plans
+    if args.digits > args.max_digits:
         return _argument_error(
-            f"--digits {args.digits} exceeds the configured maximum {max_digits}"
+            f"--digits {args.digits} exceeds the configured maximum {args.max_digits}"
         )
     return args.func(args)
 

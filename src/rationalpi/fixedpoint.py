@@ -21,7 +21,7 @@ series term and their arithmetic on valid operands proves the invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 
@@ -140,9 +140,6 @@ class FixedPoint:
         # a negation, not a multiply by the sign: no limb-by-limb product
         return -self.magnitude if self.sign < 0 else self.magnitude
 
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
     def as_fraction(self) -> Fraction:
         """Exact rational value of the stored number."""
         return Fraction(self.signed_units, 10**self.scale)
@@ -188,36 +185,35 @@ class ErrorLedger:
     def ulps(self) -> int:
         return self._ulps
 
-    def charge(self, n: int = 1) -> None:
-        """Add ``n`` ulps of worst-case error."""
-        if n < 0:
-            raise ValueError("cannot remove accumulated error")
-        self._ulps += n
-
     def __repr__(self):
         return f"ErrorLedger(ulps={self._ulps})"
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(namedtuple("PrecisionContext", "target_digits guard_digits")):
     """Working precision: ``target_digits`` the caller wants certified plus
     ``guard_digits`` that absorb per-operation truncation error.
 
     Guard sizing rule: at least ``ceil(log10(op_count)) + 10`` for the
     planned number of error-charging operations; :meth:`for_op_count`
-    applies it.  Ten is also the hard floor accepted here.
+    applies it.  Ten is also the hard floor accepted here.  Every way of
+    building one, ``_replace`` included, runs the checks.
     """
+
+    __slots__ = ()
 
     MIN_GUARD = 10
 
-    target_digits: int
-    guard_digits: int
-
-    def __post_init__(self):
-        if self.target_digits < 1:
+    def __new__(cls, target_digits: int, guard_digits: int):
+        if target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if self.guard_digits < self.MIN_GUARD:
-            raise ValueError(f"guard_digits must be at least {self.MIN_GUARD}")
+        if guard_digits < cls.MIN_GUARD:
+            raise ValueError(f"guard_digits must be at least {cls.MIN_GUARD}")
+        return super().__new__(cls, target_digits, guard_digits)
+
+    @classmethod
+    def _make(cls, fields) -> "PrecisionContext":
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*fields)
 
     @property
     def scale(self) -> int:
@@ -310,7 +306,7 @@ def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
         raise ZeroDivisionError("division by zero")
     if m < 0:
         raise ValueError("divisor must be positive")
-    # ErrorLedger.charge(1) without the call: one ulp is never negative
+    # the ledger's one ulp for this division, added in place
     ledger._ulps += 1
     shift = m.bit_length() - 1
     if m == 1 << shift:

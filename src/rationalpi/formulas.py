@@ -23,9 +23,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .fixedpoint import PrecisionContext
 from .series import (
@@ -69,12 +69,11 @@ class PiFormulaId(enum.Enum):
     MACHIN_ORACLE = "machin"
 
 
-@dataclass(frozen=True)
-class PiFormula:
-    """Pi as an integer combination of arctangents of exact rationals."""
+class PiFormula(namedtuple("PiFormula", "formula_id terms")):
+    """Pi as an integer combination of arctangents of exact rationals:
+    ``terms`` is a tuple of ``(coefficient, argument)`` pairs."""
 
-    formula_id: PiFormulaId
-    terms: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
 
 PI_FORMULAS: dict[PiFormulaId, PiFormula] = {
@@ -154,14 +153,10 @@ def sun(
     return eval_series(_series([(weight, _case(c)) for weight, c in cases]), ctx)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "passed residual_ulps bound_ulps scale")):
     """Outcome of the arctangent identity check, in ulps at ``scale``."""
 
-    passed: bool
-    residual_ulps: int
-    bound_ulps: int
-    scale: int
+    __slots__ = ()
 
 
 def verify_arctan_identity(
@@ -191,10 +186,11 @@ QUARTIC_FACTOR_B = (2, -2, 1)
 QUARTIC_COEFFS = (4, 0, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class FactorizationCheck:
-    passed: bool
-    coefficients: tuple[int, ...]
+class FactorizationCheck(namedtuple("FactorizationCheck", "passed coefficients")):
+    """Outcome of the quartic factorization check, with the expanded
+    product's coefficients, low order first."""
+
+    __slots__ = ()
 
 
 def verify_factorization(
@@ -248,15 +244,10 @@ def compute_pi(formula: PiFormula | PiFormulaId, ctx: PrecisionContext) -> EvalR
     return eval_series(_series(parts), ctx)
 
 
-@dataclass(frozen=True)
-class AgreementCheck:
+class AgreementCheck(namedtuple("AgreementCheck", "first second passed diff_ulps bound_ulps")):
     """Pairwise cross-route agreement at one working scale."""
 
-    first: str
-    second: str
-    passed: bool
-    diff_ulps: int
-    bound_ulps: int
+    __slots__ = ()
 
 
 def cross_formula_agreement(ctx: PrecisionContext) -> list[AgreementCheck]:
@@ -275,21 +266,22 @@ def cross_formula_agreement(ctx: PrecisionContext) -> list[AgreementCheck]:
 # convergence comparison
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One method in the convergence table.
+class ComparisonRow(
+    namedtuple(
+        "ComparisonRow",
+        "method ratio terms_per_digit terms_for_target symbolic_terms notes",
+    )
+):
+    """One method in the convergence table; ``compare --format json``
+    emits the fields in this order.
 
     ``terms_for_target`` is exact where the method is directly countable;
     methods reported by rate only carry a ``symbolic_terms`` estimate
-    instead.  ``terms_per_digit`` is the asymptotic ``ln 10 / ln q_den``.
+    instead (the other is None).  ``terms_per_digit`` is the asymptotic
+    ``ln 10 / ln q_den``, or None where there is no ratio.
     """
 
-    method: str
-    ratio: str
-    terms_per_digit: float | None
-    terms_for_target: int | None
-    symbolic_terms: str | None
-    notes: str
+    __slots__ = ()
 
 
 def _leibniz_symbolic(target_digits: int) -> str:

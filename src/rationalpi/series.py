@@ -45,9 +45,9 @@ import enum
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .fixedpoint import (
     ErrorLedger,
@@ -91,23 +91,25 @@ class CaseId(enum.Enum):
     X_QUARTER = "1/4"
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """One alternating series; immutable and validated on construction."""
+class SeriesSpec(namedtuple("SeriesSpec", "prefactor_num prefactor_den offset step q_den")):
+    """One alternating series; immutable and validated on construction,
+    ``_replace`` included."""
 
-    prefactor_num: int
-    prefactor_den: int
-    offset: int
-    step: int
-    q_den: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prefactor_num < 1 or self.prefactor_den < 1:
+    def __new__(cls, prefactor_num: int, prefactor_den: int, offset: int, step: int, q_den: int):
+        if prefactor_num < 1 or prefactor_den < 1:
             raise ValueError("prefactor must be a positive rational")
-        if self.offset < 1 or self.step < 1:
+        if offset < 1 or step < 1:
             raise ValueError("offset and step must be at least 1")
-        if self.q_den < 2:
+        if q_den < 2:
             raise ValueError("q_den must be at least 2 for strict convergence")
+        return super().__new__(cls, prefactor_num, prefactor_den, offset, step, q_den)
+
+    @classmethod
+    def _make(cls, fields) -> "SeriesSpec":
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*fields)
 
     @property
     def prefactor(self) -> Fraction:
@@ -122,20 +124,22 @@ class SeriesSpec:
         return self.prefactor / (self.q_den**k * self.denominator(k))
 
 
-@dataclass(frozen=True)
-class CaseParams:
-    """One supported argument x with its ratio denominator and target."""
+class CaseParams(namedtuple("CaseParams", "case_id x_num x_den q_den target_description")):
+    """One supported argument x with its ratio denominator and target;
+    validated on construction, ``_replace`` included."""
 
-    case_id: CaseId
-    x_num: int
-    x_den: int
-    q_den: int
-    target_description: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, case_id: CaseId, x_num: int, x_den: int, q_den: int, target_description: str):
         # q = x^4/4 exactly
-        if self.q_den * self.x_num**4 != 4 * self.x_den**4:
+        if q_den * x_num**4 != 4 * x_den**4:
             raise ValueError("q_den inconsistent with x^4/4")
+        return super().__new__(cls, case_id, x_num, x_den, q_den, target_description)
+
+    @classmethod
+    def _make(cls, fields) -> "CaseParams":
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*fields)
 
 
 CASES: dict[CaseId, CaseParams] = {
@@ -164,8 +168,13 @@ def series_for_case(case: CaseParams, component: Component) -> SeriesSpec:
     return SeriesSpec(pref.numerator, pref.denominator, offset, step, case.q_den)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(
+    namedtuple(
+        "EvalResult",
+        "value terms_used error_ulps guaranteed_digits component_terms",
+        defaults=((),),
+    )
+):
     """A certified evaluation: value, cost and error budget.
 
     ``error_ulps`` covers the arithmetic ledger and the series remainder
@@ -173,11 +182,7 @@ class EvalResult:
     result combines several series.
     """
 
-    value: FixedPoint
-    terms_used: int
-    error_ulps: int
-    guaranteed_digits: int
-    component_terms: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def terms_needed(spec: SeriesSpec, target_digits: int) -> int:

@@ -3,7 +3,7 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -119,7 +119,7 @@ def planning_blocked(monkeypatch):
     :class:`PlanningReached`, so a test can tell a refusal made up front
     from one made after planning started."""
     for name in ("context_for_formula", "context_for_case", "context_for_verify",
-                 "compute_pi", "sun", "verify_arctan_identity"):
+                 "compute_pi", "sun", "verify_arctan_identity", "compare_convergence"):
         monkeypatch.setattr(cli, name, _refuse_to_plan)
 
 
@@ -130,6 +130,7 @@ def planning_blocked(monkeypatch):
         ["arctan", "--case", "1", "--digits"],
         ["verify", "--digits"],
         ["bench", "--repeat", "1", "--digits"],
+        ["compare", "--digits"],
     ),
 )
 def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
@@ -171,7 +172,7 @@ def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
         result = real(formula_id, ctx)
         if formula_id is PiFormulaId.MACHIN_ORACLE:
             units = result.value.signed_units + 10 ** (ctx.scale - 30)
-            result = replace(result, value=FixedPoint.from_scaled(units, ctx.scale))
+            result = result._replace(value=FixedPoint.from_scaled(units, ctx.scale))
         return result
 
     monkeypatch.setattr(cli, "compute_pi", faulty)
@@ -447,6 +448,23 @@ def test_pi_emission_beyond_interpreter_str_cap(capsys):
 
 
 # --- black box through the real interpreter ----------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S skips the site module, whose .pth files may import any of these
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rationalpi.cli; "
+        "print(sorted({'dataclasses', 'typing', 'json', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_module_entrypoint_black_box():

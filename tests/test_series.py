@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -83,6 +85,45 @@ def test_series_spec_validation():
         SeriesSpec(1, 1, 1, 0, 4)
     with pytest.raises(ValueError):
         SeriesSpec(1, 1, 1, 4, 1)
+
+
+# a valid record of each validating type, and field edits its checks refuse
+VALIDATED_EDITS = (
+    (SeriesSpec(1, 4, 1, 4, 4), "prefactor_num", 0),
+    (SeriesSpec(1, 4, 1, 4, 4), "prefactor_den", 0),
+    (SeriesSpec(1, 4, 1, 4, 4), "offset", 0),
+    (SeriesSpec(1, 4, 1, 4, 4), "step", 0),
+    (SeriesSpec(1, 4, 1, 4, 4), "q_den", 1),
+    (CASES[CaseId.X_HALF], "q_den", 8),
+    (CASES[CaseId.X_HALF], "x_den", 1),
+    (PrecisionContext(50, 10), "target_digits", 0),
+    (PrecisionContext(50, 10), "guard_digits", 9),
+)
+
+
+@pytest.mark.parametrize("record,field,bad", VALIDATED_EDITS)
+def test_replace_runs_the_constructor_checks(record, field, bad):
+    with pytest.raises(ValueError):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        type(record)._make(bad if name == field else value
+                           for name, value in record._asdict().items())
+    # an edit the checks accept keeps the type
+    same = record._replace(**{field: getattr(record, field)})
+    assert same == record and type(same) is type(record)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))),
+    ids=("copy", "deepcopy", "pickle"),
+)
+def test_records_copy_and_pickle_to_equal_records(duplicate):
+    ctx = PrecisionContext(20, 10)
+    spec = SeriesSpec(1, 4, 1, 4, 4)
+    for record in (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx)):
+        twin = duplicate(record)
+        assert twin == record and type(twin) is type(record)
 
 
 # --- term counting ------------------------------------------------------------
