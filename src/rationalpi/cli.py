@@ -6,8 +6,9 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS`` before
-any planning, so no request runs for hours.
+Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``, and
+``bench`` refuses ``--repeat`` above ``MAX_REPEAT``, before any planning,
+so every request has a bounded cost.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error.
@@ -42,6 +43,7 @@ from .formulas import (
 from .series import CASES, CaseId, Component, series_for_case
 
 DEFAULT_MAX_DIGITS = 100_000
+MAX_REPEAT = 100
 JSON_SCHEMA_VERSION = 1
 
 
@@ -333,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="time the pi routes; exits 1 unless their certified digits agree"
     )
     p_bench.add_argument("--digits", type=_positive_int, default=2000)
-    p_bench.add_argument("--repeat", type=_positive_int, default=3)
+    p_bench.add_argument("--repeat", type=_positive_int, default=3,
+                         help=f"timed runs per route, at most {MAX_REPEAT} (default: 3)")
     p_bench.set_defaults(func=cmd_bench, max_digits=DEFAULT_MAX_DIGITS)
 
     return parser
@@ -346,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
         return _argument_error(
             f"--digits {args.digits} exceeds the configured maximum {args.max_digits}"
         )
+    if args.command == "bench" and args.repeat > MAX_REPEAT:
+        return _argument_error(f"--repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")
     return args.func(args)
 
 

@@ -14,24 +14,37 @@ shrink by at least those factors and the first omitted term bounds the
 truncation error.
 
 Term ``k`` is stored as exactly ``floor(pn * 10^s / (pd * q_den^k * d_k))``
-at working scale ``s``, with ``d_k = offset + step*k``.  :func:`eval_series`
-sums a weighted stack of series.  When ``pd = 2^a`` and ``q_den = 2^b`` the
-term is ``floor(pn * 10^s / (2^e * d_k))`` with ``e = a + b*k``, and since
-``floor(floor(x / m) / n) = floor(x / (m*n))`` for integers ``x >= 0`` and
-``m, n >= 1``, a term that shares ``(pn, d)`` with a term of smaller
+at working scale ``s``, with ``d_k = offset + step*k``.  Every way of
+computing it rests on ``floor(floor(x / m) / n) = floor(x / (m*n))`` for
+integers ``x >= 0`` and ``m, n >= 1``: a floor taken in steps is the floor of
+the whole quotient, so any split of ``pd * q_den^k * d_k`` into successive
+divisors stores the same integer.
+
+The evaluator picks the split that makes the fewest passes over the
+working-size integer.  CPython divides by a divisor below
+``2**sys.int_info.bits_per_digit`` (2^30 on 64-bit builds) in one linear
+pass, and by a wider one with schoolbook long division at about twice the
+cost; a shift or an add costs a fifth of either.  So a power of the ratio is
+folded into a divisor for as long as the product still fits one digit.
+
+:func:`eval_series` sums a weighted stack of series.  When ``pd = 2^a`` and
+``q_den = 2^b`` the term is ``floor(pn * 10^s / (2^e * d_k))`` with
+``e = a + b*k``, and a term that shares ``(pn, d)`` with a term of smaller
 exponent ``e0`` is that term shifted right by ``e - e0`` bits.  Such series
 are therefore summed together in one pass over their denominators from
-largest to smallest: each distinct ``(pn, d)`` costs one long division,
-``floor(floor(pn * 10^s / 2^e0) / d)``, and every other term with it one
-shift of that base.  JUPITER's ``2k'+1`` is SATURN's ``4k+1`` or MARS's
-``4k+3``, and the x = 1/4 stack repeats the denominators of x = 1/2, so
-the pass makes about 0.42 long divisions per term on the ``combined``
-route and 0.67 on ``case1``.  Smallest terms come first, so the running
-sums stay as long as the terms being added.  A series with any other
-``pd`` or ``q_den`` is summed forward with a running power: each new power
-is one exact small division by ``q_den``, each term one more division by
-its denominator.  Both ways store the same integers, so values never
-depend on which series share a pass.
+largest to smallest: each distinct ``(pn, d)`` costs one long division, and
+every other term with it one shift of that base.  The base divides one
+shifted numerator ``pn * 10^s >> ex`` by the folded divisor
+``d << (e0 - ex)``, and that numerator is shifted afresh only when the
+folded divisor would no longer fit one digit.  JUPITER's ``2k'+1`` is
+SATURN's ``4k+1`` or MARS's ``4k+3``, and the x = 1/4 stack repeats the
+denominators of x = 1/2, so the pass makes about 0.42 long divisions per
+term on the ``combined`` route and 0.67 on ``case1``.  Smallest terms come
+first, so the running sums stay as long as the terms being added.  A series
+with any other ``pd`` or ``q_den`` is summed forward from a running power,
+several terms per power while ``q_den^j * d`` fits one digit.  All ways
+store the same integers, so values never depend on which series share a
+pass or on the interpreter's digit size.
 
 Term counts are fixed up front by :func:`terms_needed` against the full
 working scale, which pushes the series remainder below one working ulp and
@@ -45,6 +58,7 @@ import enum
 import heapq
 import itertools
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
@@ -73,6 +87,9 @@ __all__ = [
     "consecutive_term_ratio",
     "context_for",
 ]
+
+# a divisor below 2**_DIGIT_BITS is one CPython digit: one linear pass
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class Component(enum.Enum):
@@ -223,8 +240,9 @@ def eval_series(
     ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` with
     ``d_k = offset + step*k``.  A series whose ``pd`` and ``q_den`` are
     powers of two goes through the shared pass of the module docstring;
-    any other keeps the running power.  Both store the same terms, so the
-    value does not depend on which series share a pass.
+    any other keeps the running power.  Both fold powers of the ratio into
+    one-digit divisors where they can, and both store the same terms, so the
+    value depends neither on which series share a pass nor on the folding.
 
     The certificate keeps the running power's charge of ``2*N_i + 1`` ulps
     per series, one per division plus one for the remainder, however the
@@ -273,21 +291,33 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def _running_power_sum(spec: SeriesSpec, n: int, scale: int, ledger: ErrorLedger) -> FixedPoint:
-    """The first ``n`` terms, summed forward: the power starts from one
-    division by the prefactor denominator and shrinks by one division by
-    ``q_den`` per term, and each term is one more division by its
-    denominator."""
+    """The first ``n`` terms, summed forward from a base power.
+
+    The first base is one division of the prefactor numerator by its
+    denominator.  From base ``P_k``, term ``k + j`` is one division by the
+    folded divisor ``q_den**j * d_{k+j}``, and the next base is
+    ``P_k // q_den**J`` after ``J`` terms.  ``J`` grows while
+    ``q_den**J * max(q_den, d_{k+J})`` fits one CPython digit, so every
+    folded division is a single-digit pass; a ``q_den`` or ``d`` too large
+    for that keeps one term per base, one division by ``q_den`` and one by
+    ``d``.  The nested-floor identity makes each term
+    ``floor(pn * 10^s / (pd * q_den^(k+j) * d_{k+j}))`` whatever ``J`` is.
+    """
+    limit = 1 << _DIGIT_BITS
+    q = spec.q_den
     power = fx_div_small(
         FixedPoint.from_int(spec.prefactor_num, scale), spec.prefactor_den, ledger
     )
     total = FixedPoint.from_int(0, scale)
-    sign = 1
+    fold = 1  # q**j for the j-th term stored from the current base
     for k in range(n):
-        if k:
-            power = fx_div_small(power, spec.q_den, ledger)
-        term = fx_div_small(power, spec.denominator(k), ledger)
-        total = fx_add(total, fx_mul_small(term, sign))
-        sign = -sign
+        d = spec.denominator(k)
+        if fold > 1 and fold * max(q, d) >= limit:
+            power = fx_div_small(power, fold, ledger)
+            fold = 1
+        term = fx_div_small(power, fold * d, ledger)
+        total = fx_add(total, fx_mul_small(term, -1 if k & 1 else 1))
+        fold *= q
     return total
 
 
@@ -314,15 +344,33 @@ def _shared_pass(
 ) -> None:
     """Add the planned terms of the power-of-two series ``(i, spec, n)``
     into ``sums[i]``, largest denominator first, with one long division per
-    distinct (numerator, denominator) pair."""
+    distinct (numerator, denominator) pair.
+
+    Each numerator ``N = pn * 10^scale`` keeps one shifted copy
+    ``X = N >> ex``.  A group with denominator ``d`` and smallest exponent
+    ``e0`` takes its base as ``X // (d << (e0 - ex))`` while that folded
+    divisor fits one CPython digit.  Otherwise ``X`` is shifted afresh to
+    ``ex = e0 - h``, where ``h = bits - d.bit_length()`` clamped to
+    ``[0, e0]`` is the headroom that lets the groups after it, whose
+    exponents fall, fold into the same ``X``.
+    """
+    bits = _DIGIT_BITS
+    limit = 1 << bits
     pns = {spec.prefactor_num for _, spec, _ in shared}
     numerators = {pn: FixedPoint.from_int(pn, scale) for pn in pns}
+    shifted = {}  # pn -> (ex, numerator >> ex)
     group = None
     for neg_d, pn, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):
         if (neg_d, pn) != group:
             # a group's first term has its smallest exponent
-            group, e0 = (neg_d, pn), e
-            base = fx_div_small(fx_div_small(numerators[pn], 1 << e0, ledger), -neg_d, ledger)
+            group, e0, d = (neg_d, pn), e, -neg_d
+            # a numerator's first group finds ex above e0 and shifts
+            ex, x = shifted.get(pn, (e0 + 1, None))
+            if e0 < ex or d << (e0 - ex) >= limit:
+                ex = e0 - min(e0, max(0, bits - d.bit_length()))
+                x = fx_div_small(numerators[pn], 1 << ex, ledger)
+                shifted[pn] = ex, x
+            base = fx_div_small(x, d << (e0 - ex), ledger)
         term = base if e == e0 else fx_div_small(base, 1 << (e - e0), ledger)
         sums[i] = fx_add(sums[i], fx_mul_small(term, -1 if k & 1 else 1))
 

@@ -144,6 +144,17 @@ def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
         main(argv + [str(cli.DEFAULT_MAX_DIGITS)])
 
 
+def test_repeat_cap_refuses_before_planning(planning_blocked, capsys):
+    over = str(cli.MAX_REPEAT + 1)
+    code, out, err = run_cli(["bench", "--digits", "10", "--repeat", over], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"--repeat {over} exceeds the maximum {cli.MAX_REPEAT}" in err
+    # at the cap itself the request goes on to plan
+    with pytest.raises(PlanningReached):
+        main(["bench", "--digits", "10", "--repeat", str(cli.MAX_REPEAT)])
+
+
 def test_happy_paths_exit_zero(capsys):
     for argv in (
         ["pi", "--digits", "12"],

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -247,29 +248,53 @@ def test_identity_check_equals_plain_integer_floor_sums(digits, fault):
     assert check.passed == (not fault)
 
 
-def test_shared_pass_makes_one_long_division_per_denominator(monkeypatch):
-    divisors = []
+@pytest.fixture
+def divisions(monkeypatch):
+    """Record ``(dividend, divisor)`` of every division the series layer makes."""
+    seen = []
     real = series.fx_div_small
 
     def recording(a, m, ledger):
-        divisors.append(m)
+        seen.append((a, m))
         return real(a, m, ledger)
 
     monkeypatch.setattr(series, "fx_div_small", recording)
-    # (divisions by a non-power of two, divisions by an odd number); every
-    # distinct denominator gets one base division and d = 1 is the shift by 2**0
-    expected = {PiFormulaId.COMBINED: (121, 122), PiFormulaId.CASE1: (367, 368)}
-    for route, (long_divisions, bases) in expected.items():
-        divisors.clear()
-        compute_pi(route, context_for_formula(route, 100))
-        assert sum(1 for m in divisors if m & (m - 1)) == long_divisions, route
-        assert sum(1 for m in divisors if m & 1) == bases, route
-    # Machin keeps the running power: the prefactor, every ratio and every
-    # denominator but d = 1 is a long division
-    divisors.clear()
+    return seen
+
+
+def test_shared_pass_makes_one_long_division_per_denominator(divisions):
+    # (divisions by a non-power of two, power-of-two divisions of a whole
+    # numerator pn * 10^scale): one long division per distinct denominator,
+    # and a numerator is shifted afresh only when a folded divisor would no
+    # longer fit one digit; the last of these is the d = 1 base, once the
+    # shift has reached 0 (one shift per denominator before folding: 122, 368)
+    expected = {PiFormulaId.COMBINED: (121, 16), PiFormulaId.CASE1: (367, 18)}
+    for route, (long_divisions, numerator_shifts) in expected.items():
+        divisions.clear()
+        ctx = context_for_formula(route, 100)
+        compute_pi(route, ctx)
+        assert sum(1 for _, m in divisions if m & (m - 1)) == long_divisions, route
+        whole = 10**ctx.scale
+        shifts = sum(1 for a, m in divisions if not m & (m - 1) and a.magnitude % whole == 0)
+        assert shifts == numerator_shifts, route
+    # Machin keeps the running power, but folds up to six terms of 1/5 into
+    # one base: the two prefactors, every denominator but d = 1 and one base
+    # step per fold are long divisions (2*terms - 2 = 202 one term at a time)
+    divisions.clear()
     route = PiFormulaId.MACHIN_ORACLE
     result = compute_pi(route, context_for_formula(route, 100))
-    assert sum(1 for m in divisors if m & (m - 1)) == 2 * result.terms_used - 2
+    assert result.terms_used == 102
+    assert sum(1 for _, m in divisions if m & (m - 1)) == 137
+
+
+@pytest.mark.parametrize("digits", (100, 3000))
+def test_every_long_division_has_a_one_digit_divisor(divisions, digits):
+    for route in PiFormulaId:
+        compute_pi(route, context_for_formula(route, digits))
+    verify_arctan_identity(context_for_verify(digits))
+    long_divisors = [m for _, m in divisions if m & (m - 1)]
+    assert long_divisors
+    assert max(long_divisors) < 2**sys.int_info.bits_per_digit
 
 
 # --- misprint guards --------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rationalpi import series
 from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
 from rationalpi.series import (
     CASES,
@@ -258,10 +259,7 @@ TWICE = [
 ]
 
 
-@settings(max_examples=100, deadline=None)
-@given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
-@example(stack=TWICE, digits=40)
-def test_stack_equals_plain_integer_floor_sums(stack, digits):
+def assert_equals_floor_sums(stack, digits):
     ctx = context_for([spec for _, spec in stack], digits)
     result = eval_series(stack, ctx)
     value, certificate, counts = oracles.stack_floor_sum(
@@ -271,6 +269,93 @@ def test_stack_equals_plain_integer_floor_sums(stack, digits):
     assert result.error_ulps == certificate
     assert result.component_terms == counts
     assert result.terms_used == sum(counts)
+    return counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
+@example(stack=TWICE, digits=40)
+def test_stack_equals_plain_integer_floor_sums(stack, digits):
+    assert_equals_floor_sums(stack, digits)
+
+
+# with 30-bit digits the running power stores two terms per base for
+# q_den = 2**15 - 1 and denominators below it, whose product fits one digit,
+# and one for 2**15 or 2**15 + 1; with a power-of-two prefactor denominator
+# 2**15 goes to the shared pass instead
+FOLD_EDGE_SPECS = st.builds(
+    SeriesSpec,
+    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_den=st.one_of(
+        st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
+        st.integers(min_value=3, max_value=100),
+    ),
+    offset=st.integers(min_value=1, max_value=2**16),
+    step=st.integers(min_value=1, max_value=2**16),
+    q_den=st.sampled_from((2**15 - 1, 2**15, 2**15 + 1)),
+)
+# denominators from 2**30 up have no headroom to fold a shift into, so the
+# shared pass shifts to the group's own exponent and divides by d alone
+WIDE_DENOMINATOR_SPECS = st.builds(
+    SeriesSpec,
+    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_den=st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
+    offset=st.integers(min_value=2**30, max_value=2**62),
+    step=st.integers(min_value=1, max_value=2**40),
+    q_den=st.integers(min_value=1, max_value=12).map(lambda s: 1 << s),
+)
+FOLD_EDGE_STACKS = st.lists(
+    st.tuples(
+        st.integers(min_value=-20, max_value=20),
+        st.one_of(FOLD_EDGE_SPECS, WIDE_DENOMINATOR_SPECS, STACK_SPECS),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=FOLD_EDGE_STACKS, digits=st.integers(min_value=1, max_value=120))
+@example(
+    stack=[(1, SeriesSpec(1, 3, 1, 2, q_den)) for q_den in (2**15 - 1, 2**15, 2**15 + 1)],
+    digits=60,
+)
+@example(
+    stack=[(1, SeriesSpec(1, 4, 1, 2, 2**15)), (-2, SeriesSpec(1, 1, 3, 4, 2**15))], digits=60
+)
+@example(
+    stack=[(1, SeriesSpec(1, 2, 2**30, 1, 4)), (3, SeriesSpec(1, 8, 2**31 + 1, 2, 2))], digits=50
+)
+@example(stack=[(1, SeriesSpec(5, 7, 2**30, 2**30, 2**15 - 1))], digits=50)
+def test_fold_edges_equal_plain_integer_floor_sums(stack, digits):
+    assert_equals_floor_sums(stack, digits)
+
+
+@pytest.mark.parametrize("bits", (8, 15))
+@settings(max_examples=50, deadline=None)
+@given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
+@example(stack=TWICE, digits=40)
+def test_narrow_digits_equal_plain_integer_floor_sums(bits, stack, digits):
+    # a narrow digit makes the running power fold rarely and the shared pass
+    # shift afresh often, as on a 15-bit-digit build
+    divisors = []
+    real = series.fx_div_small
+
+    def recording(a, m, ledger):
+        divisors.append(m)
+        return real(a, m, ledger)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series, "_DIGIT_BITS", bits)
+        patch.setattr(series, "fx_div_small", recording)
+        counts = assert_equals_floor_sums(stack, digits)
+    # a long division wider than one digit divides by one series parameter
+    # alone, never by a folded product
+    parameters = set()
+    for (_, spec), n in zip(stack, counts):
+        parameters.update((spec.prefactor_den, spec.q_den))
+        parameters.update(spec.denominator(k) for k in range(n))
+    assert all(m in parameters for m in divisors if m >= 2**bits and m & (m - 1))
 
 
 @settings(max_examples=100, deadline=None)
