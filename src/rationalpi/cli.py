@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi.add_argument("--fixture", metavar="PATH",
                       help="reference digit file to diff against (whitespace and "
                            "'#' comment lines ignored); mismatch exits 1")
-    p_pi.add_argument("--max-digits", type=_positive_int, default=DEFAULT_MAX_DIGITS,
-                      help=argparse.SUPPRESS)
     p_pi.set_defaults(func=cmd_pi)
 
     p_at = sub.add_parser("arctan", help="compute an arctangent value")
@@ -317,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_at.add_argument("--digits", type=_positive_int, required=True,
                       help="fractional digits to emit (certified)")
     p_at.add_argument("--json", action="store_true", help="emit the full JSON report")
-    p_at.set_defaults(func=cmd_arctan, max_digits=DEFAULT_MAX_DIGITS)
+    p_at.set_defaults(func=cmd_arctan)
 
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
     p_ver.add_argument("--digits", type=_positive_int, default=50,
                        help="working digit target, at least 10 (default: 50)")
     p_ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p_ver.set_defaults(func=cmd_verify, max_digits=DEFAULT_MAX_DIGITS)
+    p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")
     p_cmp.add_argument("--digits", type=_positive_int, required=True,
                        help="digit target the term counts refer to")
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p_cmp.set_defaults(func=cmd_compare, max_digits=DEFAULT_MAX_DIGITS)
+    p_cmp.set_defaults(func=cmd_compare)
 
     p_bench = sub.add_parser(
         "bench", help="time the pi routes; exits 1 unless their certified digits agree"
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--digits", type=_positive_int, default=2000)
     p_bench.add_argument("--repeat", type=_positive_int, default=3,
                          help=f"timed runs per route, at most {MAX_REPEAT} (default: 3)")
-    p_bench.set_defaults(func=cmd_bench, max_digits=DEFAULT_MAX_DIGITS)
+    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -345,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # every subcommand is capped, before it plans
-    if args.digits > args.max_digits:
+    if args.digits > DEFAULT_MAX_DIGITS:
         return _argument_error(
-            f"--digits {args.digits} exceeds the configured maximum {args.max_digits}"
+            f"--digits {args.digits} exceeds the configured maximum {DEFAULT_MAX_DIGITS}"
         )
     if args.command == "bench" and args.repeat > MAX_REPEAT:
         return _argument_error(f"--repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")

@@ -12,11 +12,12 @@ All operands of one computation share a single scale, fixed up front by a
 :class:`PrecisionContext`.  Mixing scales raises instead of rescaling, so
 there is no hidden rounding anywhere in the layer.
 
-A :class:`FixedPoint` has two constructors: the public, validating
-``FixedPoint(sign, magnitude, scale)``, and the private :func:`_fixed`,
-which skips the checks.  Only ``fx_add``, ``fx_mul_small`` and
-``fx_div_small`` use the private one, because they run several times per
-series term and their arithmetic on valid operands proves the invariants.
+A :class:`FixedPoint` is a named tuple with one checked constructor,
+``FixedPoint(sign, magnitude, scale)``, which ``from_int``, ``from_scaled``,
+``_replace``, copy and pickle all go through.  The private :func:`_fixed`
+skips the checks.  Only ``fx_add``, ``fx_mul_small`` and ``fx_div_small``
+use it, because they run several times per series term and their
+arithmetic on valid operands proves the invariants.
 """
 
 from __future__ import annotations
@@ -61,24 +62,28 @@ class BoundaryStraddleError(ArithmeticError):
     so no digit prefix of the requested length can be emitted honestly."""
 
 
-class FixedPoint:
+class FixedPoint(namedtuple("FixedPoint", "sign magnitude scale")):
     """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
 
     Zero is canonical: sign 0 and magnitude 0 together.
 
-    There are two constructors.  ``FixedPoint(sign, magnitude, scale)``, and
-    :meth:`from_int` and :meth:`from_scaled` through it, is the public one:
-    it checks all four invariants (sign in {-1, 0, 1}, magnitude and scale
-    non-negative, canonical zero) and raises :class:`ValueError` otherwise.
-    :func:`_fixed` is the private one the ``fx_*`` operations build their
+    Every way of building one except :func:`_fixed` runs the constructor,
+    which checks all four invariants (sign in {-1, 0, 1}, magnitude and
+    scale non-negative, canonical zero) and raises :class:`ValueError`
+    otherwise.  :func:`_fixed` is what the ``fx_*`` operations build their
     results with: it skips the checks, because each caller's arithmetic
-    already establishes them from valid operands.  Fields are read-only
-    either way, and values compare and hash by their fields.
+    already establishes them from valid operands.  Fields are read-only, and
+    a value equals and hashes as its field tuple ``(sign, magnitude, scale)``.
     """
 
-    __slots__ = ("sign", "magnitude", "scale")
+    __slots__ = ()
 
-    def __init__(self, sign: int, magnitude: int, scale: int):
+    # a value is a number, not a sequence: tuple concatenation, repetition
+    # and lexicographic order would answer silently and wrongly, so these
+    # raise TypeError instead; arithmetic goes through the fx_* functions
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+    def __new__(cls, sign: int, magnitude: int, scale: int):
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
         if magnitude < 0:
@@ -87,32 +92,12 @@ class FixedPoint:
             raise ValueError("scale must be non-negative")
         if (magnitude == 0) != (sign == 0):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
-        _set_sign(self, sign)
-        _set_magnitude(self, magnitude)
-        _set_scale(self, scale)
+        return super().__new__(cls, sign, magnitude, scale)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable FixedPoint")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable FixedPoint")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the validating constructor; the
-        # default slot restore would assign fields and hit __setattr__
-        return FixedPoint, (self.sign, self.magnitude, self.scale)
-
-    def __eq__(self, other):
-        if other.__class__ is not FixedPoint:
-            return NotImplemented
-        return (
-            self.sign == other.sign
-            and self.magnitude == other.magnitude
-            and self.scale == other.scale
-        )
-
-    def __hash__(self):
-        return hash((self.sign, self.magnitude, self.scale))
+    @classmethod
+    def _make(cls, fields) -> "FixedPoint":
+        # the inherited _make, which _replace calls, would skip __new__
+        return cls(*fields)
 
     @classmethod
     def from_int(cls, n: int, scale: int) -> "FixedPoint":
@@ -145,24 +130,13 @@ class FixedPoint:
         return Fraction(self.signed_units, 10**self.scale)
 
 
-# the slots' own setters, which the read-only __setattr__ does not intercept
-_set_sign = FixedPoint.sign.__set__
-_set_magnitude = FixedPoint.magnitude.__set__
-_set_scale = FixedPoint.scale.__set__
-_new = object.__new__
-
-
 def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
     """A :class:`FixedPoint` built without the constructor's checks.
 
     Only for results whose invariants the caller's arithmetic proves; each
     call site says why.
     """
-    value = _new(FixedPoint)
-    _set_sign(value, sign)
-    _set_magnitude(value, magnitude)
-    _set_scale(value, scale)
-    return value
+    return tuple.__new__(FixedPoint, (sign, magnitude, scale))
 
 
 class ErrorLedger:

@@ -264,7 +264,7 @@ def eval_series(
     # fx_div_small charges its ulp here; the certificate is the closed form
     # above, which does not depend on how many divisions stored the terms
     ledger = ErrorLedger()
-    sums = [FixedPoint.from_int(0, scale)] * len(stack)
+    sums = [FixedPoint.from_scaled(0, scale)] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
         if _is_power_of_two(spec.prefactor_den) and _is_power_of_two(spec.q_den):
@@ -273,7 +273,7 @@ def eval_series(
             sums[i] = _running_power_sum(spec, n, scale, ledger)
     _shared_pass(shared, sums, scale, ledger)
 
-    total = FixedPoint.from_int(0, scale)
+    total = FixedPoint.from_scaled(0, scale)
     for (weight, _), partial in zip(stack, sums):
         total = fx_add(total, fx_mul_small(partial, weight))
     error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
@@ -308,7 +308,7 @@ def _running_power_sum(spec: SeriesSpec, n: int, scale: int, ledger: ErrorLedger
     power = fx_div_small(
         FixedPoint.from_int(spec.prefactor_num, scale), spec.prefactor_den, ledger
     )
-    total = FixedPoint.from_int(0, scale)
+    total = FixedPoint.from_scaled(0, scale)
     fold = 1  # q**j for the j-th term stored from the current base
     for k in range(n):
         d = spec.denominator(k)

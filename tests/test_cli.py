@@ -99,12 +99,6 @@ def test_argument_errors_exit_two(argv, capsys):
     assert code == 2
 
 
-def test_pi_respects_configured_maximum(capsys):
-    code, _, err = run_cli(["pi", "--digits", "51", "--max-digits", "50"], capsys)
-    assert code == 2
-    assert "maximum" in err
-
-
 class PlanningReached(Exception):
     pass
 

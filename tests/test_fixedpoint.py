@@ -76,10 +76,16 @@ def test_equality_and_hash_follow_the_fields():
     assert FixedPoint(1, 5, 4) != FixedPoint(1, 6, 4)
 
 
-def test_equal_only_to_fixed_points():
-    assert FixedPoint(1, 5, 4) != (1, 5, 4)
-    assert (1, 5, 4) != FixedPoint(1, 5, 4)
+def test_equal_to_its_field_tuple_but_no_tuple_arithmetic():
+    a, b = FixedPoint(1, 5, 4), fp(-3, 4)
+    assert a == (1, 5, 4) and (1, 5, 4) == a
+    assert hash(a) == hash((1, 5, 4))
     assert FixedPoint(0, 0, 4) != 0
+    # a value is a number: tuple concatenation, repetition and ordering are refused
+    for refused in (lambda: a + b, lambda: a * 2, lambda: 2 * a, lambda: a < b,
+                    lambda: sorted([a, b])):
+        with pytest.raises(TypeError):
+            refused()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rationalpi import series
-from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
+from rationalpi.fixedpoint import ErrorLedger, FixedPoint, PrecisionContext, fx_to_decimal_string
 from rationalpi.series import (
     CASES,
     CaseId,
@@ -99,6 +99,11 @@ VALIDATED_EDITS = (
     (CASES[CaseId.X_HALF], "x_den", 1),
     (PrecisionContext(50, 10), "target_digits", 0),
     (PrecisionContext(50, 10), "guard_digits", 9),
+    (FixedPoint(1, 5, 4), "sign", 2),
+    (FixedPoint(1, 5, 4), "magnitude", -1),
+    (FixedPoint(1, 5, 4), "scale", -1),
+    (FixedPoint(1, 5, 4), "magnitude", 0),
+    (FixedPoint(0, 0, 4), "sign", 1),
 )
 
 
@@ -122,7 +127,8 @@ def test_replace_runs_the_constructor_checks(record, field, bad):
 def test_records_copy_and_pickle_to_equal_records(duplicate):
     ctx = PrecisionContext(20, 10)
     spec = SeriesSpec(1, 4, 1, 4, 4)
-    for record in (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx)):
+    records = (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx), FixedPoint(-1, 5, 4))
+    for record in records:
         twin = duplicate(record)
         assert twin == record and type(twin) is type(record)
 
