@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import namedtuple
 
 from .fixedpoint import (
     BoundaryStraddleError,
@@ -47,24 +46,6 @@ MAX_REPEAT = 100
 JSON_SCHEMA_VERSION = 1
 
 
-class OutputReport(
-    namedtuple(
-        "OutputReport",
-        "method requested_digits guaranteed_digits terms_used error_ulps elapsed_ms value",
-    )
-):
-    """Everything one invocation computed, ready for JSON emission: the
-    report is ``schema`` and then these fields, in this order."""
-
-    __slots__ = ()
-
-    def to_json(self) -> str:
-        # imported on the two JSON paths only: plain output never needs it
-        import json
-
-        return json.dumps({"schema": JSON_SCHEMA_VERSION, **self._asdict()})
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -82,22 +63,6 @@ def _argument_error(message: str) -> int:
 
 def _render_digits(result: EvalResult, digits: int) -> str:
     return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
-
-
-def _report(method: str, digits: int, result: EvalResult, value: str, t0: float) -> OutputReport:
-    return OutputReport(
-        method=method,
-        requested_digits=digits,
-        guaranteed_digits=result.guaranteed_digits,
-        terms_used=list(result.component_terms),
-        error_ulps=result.error_ulps,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
-        value=value,
-    )
-
-
-def _emit(report: OutputReport, as_json: bool) -> None:
-    print(report.to_json() if as_json else report.value)
 
 
 def _normalize_digit_text(text: str) -> str:
@@ -136,37 +101,51 @@ def _check_fixture(path: str, value: str) -> int:
     return 0
 
 
-def cmd_pi(args: argparse.Namespace) -> int:
-    formula_id = PiFormulaId(args.method)
+def _value_command(
+    args: argparse.Namespace, method: str, key, plan, evaluate, fixture: str | None = None
+) -> int:
+    """Plan, evaluate and render one value, diff it against ``fixture`` if
+    given, then print the digits or the schema-1 JSON report.  Callers pass
+    ``plan`` and ``evaluate`` from this module's bindings at each call, so a
+    wrapper bound in their place sees every request."""
     t0 = time.perf_counter()
     try:
-        ctx = context_for_formula(formula_id, args.digits)
-        result = compute_pi(formula_id, ctx)
+        result = evaluate(key, plan(key, args.digits))
         value = _render_digits(result, args.digits)
     except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 1
-    report = _report(args.method, args.digits, result, value, t0)
-    if args.fixture is not None:
-        code = _check_fixture(args.fixture, value)
+    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    if fixture is not None:
+        code = _check_fixture(fixture, value)
         if code != 0:
             return code
-    _emit(report, args.json)
+    if args.json:
+        # imported on the JSON paths only: plain output never needs it
+        import json
+
+        value = json.dumps({
+            "schema": JSON_SCHEMA_VERSION,
+            "method": method,
+            "requested_digits": args.digits,
+            "guaranteed_digits": result.guaranteed_digits,
+            "terms_used": list(result.component_terms),
+            "error_ulps": result.error_ulps,
+            "elapsed_ms": elapsed_ms,
+            "value": value,
+        })
+    print(value)
     return 0
+
+
+def cmd_pi(args: argparse.Namespace) -> int:
+    return _value_command(args, args.method, PiFormulaId(args.method), context_for_formula,
+                          compute_pi, args.fixture)
 
 
 def cmd_arctan(args: argparse.Namespace) -> int:
-    case_id = CaseId(args.case)
-    t0 = time.perf_counter()
-    try:
-        ctx = context_for_case(case_id, args.digits)
-        result = sun(case_id, ctx)
-        value = _render_digits(result, args.digits)
-    except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return 1
-    _emit(_report(f"arctan case {args.case}", args.digits, result, value, t0), args.json)
-    return 0
+    return _value_command(args, f"arctan case {args.case}", CaseId(args.case), context_for_case,
+                          sun)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -146,6 +147,21 @@ def test_cross_formula_agreement(digits):
     assert len(checks) == 3
     for check in checks:
         assert check.passed, (check.first, check.second, check.diff_ulps, check.bound_ulps)
+
+
+@pytest.mark.parametrize("digits", (10, 50, 128, 500, 2000))
+def test_identity_is_a_quarter_of_case1_against_combined(digits):
+    # combined - case1 = 8*arctan(1/3) + 4*arctan(1/7) - 4*arctan(1), four times
+    # the identity's left side; both routes store the identity's series terms
+    # at the same scale and weigh them exactly, so the ulps agree exactly too
+    ctx = context_for_verify(digits)
+    identity = verify_arctan_identity(ctx)
+    checks = cross_formula_agreement(ctx)
+    (check,) = [c for c in checks if (c.first, c.second) == ("case1", "combined")]
+    assert (check.diff_ulps, check.bound_ulps) == (
+        4 * identity.residual_ulps,
+        4 * identity.bound_ulps,
+    )
 
 
 # --- the six-series stack --------------------------------------------------------
@@ -295,6 +311,21 @@ def test_every_long_division_has_a_one_digit_divisor(divisions, digits):
     long_divisors = [m for _, m in divisions if m & (m - 1)]
     assert long_divisors
     assert max(long_divisors) < 2**sys.int_info.bits_per_digit
+
+
+@pytest.mark.parametrize("route", list(PiFormulaId))
+def test_evaluation_holds_a_few_working_size_integers(route):
+    # the shared pass streams its terms through a heap merge; building every
+    # term's key before summing would hold about a thousand times this much
+    ctx = context_for_formula(route, 5000)
+    working = sys.getsizeof(10**ctx.scale)
+    tracemalloc.start()
+    try:
+        compute_pi(route, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * working, (peak, working)
 
 
 # --- misprint guards --------------------------------------------------------------
