@@ -79,7 +79,7 @@ def _check_fixture(path: str, value: str) -> int:
     try:
         with open(path, encoding="utf-8") as handle:
             reference = _normalize_digit_text(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _argument_error(f"cannot read fixture: {exc}")
     computed = _normalize_digit_text(value)
     if not reference:

@@ -62,7 +62,19 @@ class BoundaryStraddleError(ArithmeticError):
     so no digit prefix of the requested length can be emitted honestly."""
 
 
-class FixedPoint(namedtuple("FixedPoint", "sign magnitude scale")):
+class _Checked:
+    """Base of the named-tuple records whose ``__new__`` checks their fields,
+    listed first so its ``_make`` replaces the inherited one, which
+    ``_replace`` calls and which would skip ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
     """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
 
     Zero is canonical: sign 0 and magnitude 0 together.
@@ -93,11 +105,6 @@ class FixedPoint(namedtuple("FixedPoint", "sign magnitude scale")):
         if (magnitude == 0) != (sign == 0):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
         return super().__new__(cls, sign, magnitude, scale)
-
-    @classmethod
-    def _make(cls, fields) -> "FixedPoint":
-        # the inherited _make, which _replace calls, would skip __new__
-        return cls(*fields)
 
     @classmethod
     def from_int(cls, n: int, scale: int) -> "FixedPoint":
@@ -163,7 +170,7 @@ class ErrorLedger:
         return f"ErrorLedger(ulps={self._ulps})"
 
 
-class PrecisionContext(namedtuple("PrecisionContext", "target_digits guard_digits")):
+class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits guard_digits")):
     """Working precision: ``target_digits`` the caller wants certified plus
     ``guard_digits`` that absorb per-operation truncation error.
 
@@ -183,11 +190,6 @@ class PrecisionContext(namedtuple("PrecisionContext", "target_digits guard_digit
         if guard_digits < cls.MIN_GUARD:
             raise ValueError(f"guard_digits must be at least {cls.MIN_GUARD}")
         return super().__new__(cls, target_digits, guard_digits)
-
-    @classmethod
-    def _make(cls, fields) -> "PrecisionContext":
-        # the inherited _make, which _replace calls, would skip __new__
-        return cls(*fields)
 
     @property
     def scale(self) -> int:

@@ -97,46 +97,33 @@ _CASE_OF_ARG = {
     Fraction(c.x_num, c.x_den) / (2 - Fraction(c.x_num, c.x_den)): c for c in CASES.values()
 }
 
-_Parts = list[tuple[int, SeriesSpec | CaseParams]]
 
-
-def _case(case: CaseParams | CaseId) -> CaseParams:
-    return CASES[case] if isinstance(case, CaseId) else case
-
-
-def _stack(case: CaseParams) -> list[tuple[int, SeriesSpec]]:
-    """``arctan(x/(2-x))`` as the weighted three-series stack of one case."""
-    return [(weight, series_for_case(case, component)) for component, weight in _SUN_WEIGHTS]
-
-
-def _arctan(arg: Fraction) -> SeriesSpec | CaseParams:
-    """What evaluates ``arctan(arg)``: the case stack for 1, 1/3 and 1/7,
-    otherwise the plain ``arctan(1/n)`` series."""
-    if arg in _CASE_OF_ARG:
-        return _CASE_OF_ARG[arg]
-    if arg.numerator != 1:
-        raise ValueError(f"no series for arctan({arg})")
-    return arctan_recip_spec(arg.denominator)
-
-
-def _parts(terms: Iterable[tuple[int, Fraction]]) -> _Parts:
-    """Weighted arctangents as weighted cases and series."""
-    return [(coeff, _arctan(arg)) for coeff, arg in terms]
-
-
-def _series(parts: _Parts) -> list[tuple[int, SeriesSpec]]:
-    """``parts`` with every case expanded into its weighted series."""
+def _stack(case: CaseParams | CaseId, weight: int = 1) -> list[tuple[int, SeriesSpec]]:
+    """``weight * arctan(x/(2-x))`` as the weighted three-series stack of one case."""
+    case = CASES[case] if isinstance(case, CaseId) else case
     return [
-        (weight * inner, spec)
-        for weight, item in parts
-        for inner, spec in (_stack(item) if isinstance(item, CaseParams) else [(1, item)])
+        (weight * inner, series_for_case(case, component)) for component, inner in _SUN_WEIGHTS
     ]
 
 
-def _plan(parts: _Parts, target_digits: int) -> PrecisionContext:
-    """Context sized for the series ``parts`` evaluates, each counted once
+def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec]]:
+    """Weighted arctangents as weighted series: the case stack for 1, 1/3
+    and 1/7, otherwise the plain ``arctan(1/n)`` series."""
+    parts = []
+    for coeff, arg in terms:
+        if arg in _CASE_OF_ARG:
+            parts += _stack(_CASE_OF_ARG[arg], coeff)
+        elif arg.numerator == 1:
+            parts.append((coeff, arctan_recip_spec(arg.denominator)))
+        else:
+            raise ValueError(f"no series for arctan({arg})")
+    return parts
+
+
+def _plan(parts: list[tuple[int, SeriesSpec]], target_digits: int) -> PrecisionContext:
+    """Context sized for the weighted series ``parts``, each counted once
     at its own prefactor: weights multiply error, not operations."""
-    return context_for(dict.fromkeys(spec for _, spec in _series(parts)), target_digits)
+    return context_for(dict.fromkeys(spec for _, spec in parts), target_digits)
 
 
 def sun(
@@ -150,7 +137,7 @@ def sun(
     so the cases of a pi route share one pass over their denominators.
     """
     cases = [(1, case)] if isinstance(case, (CaseParams, CaseId)) else case
-    return eval_series(_series([(weight, _case(c)) for weight, c in cases]), ctx)
+    return eval_series([part for weight, c in cases for part in _stack(c, weight)], ctx)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "passed residual_ulps bound_ulps scale")):
@@ -171,9 +158,7 @@ def verify_arctan_identity(
     others, so self-tests can feed a faulty series and see the check fail.
     """
     overrides = spec_overrides or {}
-    parts = [
-        (weight, overrides.get(spec, spec)) for weight, spec in _series(_parts(_IDENTITY_TERMS))
-    ]
+    parts = [(weight, overrides.get(spec, spec)) for weight, spec in _series(_IDENTITY_TERMS)]
     residual = eval_series(parts, ctx)
     residual_ulps = residual.value.magnitude
     bound_ulps = residual.error_ulps
@@ -224,11 +209,10 @@ def _folded(weight: int, spec: SeriesSpec) -> SeriesSpec:
 def combined_series_specs() -> tuple[SeriesSpec, ...]:
     """The six series whose plain sum is pi: the x=1/2 stack scaled by 8 and
     the x=1/4 stack scaled by 4, component weights folded into prefactors."""
-    parts = _parts(PI_FORMULAS[PiFormulaId.COMBINED].terms)
-    return tuple(_folded(weight, spec) for weight, spec in _series(parts))
+    return tuple(_folded(*part) for part in _series(PI_FORMULAS[PiFormulaId.COMBINED].terms))
 
 
-def compute_pi(formula: PiFormula | PiFormulaId, ctx: PrecisionContext) -> EvalResult:
+def compute_pi(formula_id: PiFormulaId, ctx: PrecisionContext) -> EvalResult:
     """Assemble pi along the requested route.
 
     CASE1 and COMBINED go through the arctangent decomposition, their cases
@@ -236,12 +220,10 @@ def compute_pi(formula: PiFormula | PiFormulaId, ctx: PrecisionContext) -> EvalR
     Machin route uses plain ``arctan(1/n)`` series so agreement between the
     routes is meaningful.
     """
-    if isinstance(formula, PiFormulaId):
-        formula = PI_FORMULAS[formula]
-    parts = _parts(formula.terms)
-    if all(isinstance(item, CaseParams) for _, item in parts):
-        return sun(parts, ctx)
-    return eval_series(_series(parts), ctx)
+    terms = PI_FORMULAS[formula_id].terms
+    if all(arg in _CASE_OF_ARG for _, arg in terms):
+        return sun([(coeff, _CASE_OF_ARG[arg]) for coeff, arg in terms], ctx)
+    return eval_series(_series(terms), ctx)
 
 
 class AgreementCheck(namedtuple("AgreementCheck", "first second passed diff_ulps bound_ulps")):
@@ -331,7 +313,7 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
                 notes=f"leading series of the {case.target_description} assembly",
             )
         )
-    machin = [spec for _, spec in _series(_parts(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE].terms))]
+    machin = [spec for _, spec in _series(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE].terms)]
     rows.append(
         ComparisonRow(
             method="machin",
@@ -351,15 +333,15 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 
 def context_for_case(case: CaseParams | CaseId, target_digits: int) -> PrecisionContext:
     """Context sized for one arctangent assembly."""
-    return _plan(_stack(_case(case)), target_digits)
+    return _plan(_stack(case), target_digits)
 
 
 def context_for_formula(formula_id: PiFormulaId, target_digits: int) -> PrecisionContext:
     """Context sized for one pi route at one digit target."""
-    return _plan(_parts(PI_FORMULAS[formula_id].terms), target_digits)
+    return _plan(_series(PI_FORMULAS[formula_id].terms), target_digits)
 
 
 def context_for_verify(target_digits: int) -> PrecisionContext:
     """Context wide enough for the identity and all cross-route checks."""
     terms = [term for formula in PI_FORMULAS.values() for term in formula.terms]
-    return _plan(_parts([*terms, *_IDENTITY_TERMS]), target_digits)
+    return _plan(_series([*terms, *_IDENTITY_TERMS]), target_digits)

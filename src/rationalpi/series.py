@@ -68,6 +68,7 @@ from .fixedpoint import (
     FixedPoint,
     InsufficientPrecisionError,
     PrecisionContext,
+    _Checked,
     fx_add,
     fx_div_small,
     fx_mul_small,
@@ -108,7 +109,9 @@ class CaseId(enum.Enum):
     X_QUARTER = "1/4"
 
 
-class SeriesSpec(namedtuple("SeriesSpec", "prefactor_num prefactor_den offset step q_den")):
+class SeriesSpec(
+    _Checked, namedtuple("SeriesSpec", "prefactor_num prefactor_den offset step q_den")
+):
     """One alternating series; immutable and validated on construction,
     ``_replace`` included."""
 
@@ -123,11 +126,6 @@ class SeriesSpec(namedtuple("SeriesSpec", "prefactor_num prefactor_den offset st
             raise ValueError("q_den must be at least 2 for strict convergence")
         return super().__new__(cls, prefactor_num, prefactor_den, offset, step, q_den)
 
-    @classmethod
-    def _make(cls, fields) -> "SeriesSpec":
-        # the inherited _make, which _replace calls, would skip __new__
-        return cls(*fields)
-
     @property
     def prefactor(self) -> Fraction:
         return Fraction(self.prefactor_num, self.prefactor_den)
@@ -141,7 +139,9 @@ class SeriesSpec(namedtuple("SeriesSpec", "prefactor_num prefactor_den offset st
         return self.prefactor / (self.q_den**k * self.denominator(k))
 
 
-class CaseParams(namedtuple("CaseParams", "case_id x_num x_den q_den target_description")):
+class CaseParams(
+    _Checked, namedtuple("CaseParams", "case_id x_num x_den q_den target_description")
+):
     """One supported argument x with its ratio denominator and target;
     validated on construction, ``_replace`` included."""
 
@@ -152,11 +152,6 @@ class CaseParams(namedtuple("CaseParams", "case_id x_num x_den q_den target_desc
         if q_den * x_num**4 != 4 * x_den**4:
             raise ValueError("q_den inconsistent with x^4/4")
         return super().__new__(cls, case_id, x_num, x_den, q_den, target_description)
-
-    @classmethod
-    def _make(cls, fields) -> "CaseParams":
-        # the inherited _make, which _replace calls, would skip __new__
-        return cls(*fields)
 
 
 CASES: dict[CaseId, CaseParams] = {

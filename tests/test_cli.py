@@ -443,6 +443,17 @@ def test_fixture_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_fixture_not_utf8_is_an_argument_error(tmp_path, capsys):
+    # an undecodable file is unusable, like a missing one: exit 2, not a
+    # traceback with exit 1, which would read as a digit mismatch
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe3\x00.\x001\x00")
+    code, out, err = run_cli(["pi", "--digits", "5", "--fixture", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read fixture: ")
+
+
 def test_pi_emission_beyond_interpreter_str_cap(capsys):
     # digit counts past CPython's default 4300-digit int/str conversion
     # limit must still emit
