@@ -6,17 +6,20 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``, and
-``bench`` refuses ``--repeat`` above ``MAX_REPEAT``, before any planning,
-so every request has a bounded cost.
+Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``,
+``bench`` refuses ``--repeat`` above ``MAX_REPEAT`` and ``verify`` refuses
+``--digits`` below 10, all before any planning, so every request has a
+bounded cost.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
-error.
+error, 3 standard output could not be written (a closed pipe, a full
+device or a closed stdout).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -56,9 +59,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _argument_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _refuse(status: int, message: str) -> None:
+    """Print ``message`` to stderr and exit with ``status``: 2 for an
+    argument error, 1 for a fixture mismatch, a route disagreement or a
+    precision failure, 3 for a closed stdout."""
+    print(message, file=sys.stderr)
+    raise SystemExit(status)
 
 
 def _render_digits(result: EvalResult, digits: int) -> str:
@@ -66,39 +72,27 @@ def _render_digits(result: EvalResult, digits: int) -> str:
 
 
 def _normalize_digit_text(text: str) -> str:
-    kept = []
-    for line in text.splitlines():
-        if line.lstrip().startswith("#"):
-            continue
-        kept.append(line)
+    kept = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
     return "".join("".join(kept).split()).replace(".", "")
 
 
-def _check_fixture(path: str, value: str) -> int:
-    """Exit-code-shaped fixture diff: 0 match, 1 mismatch, 2 unusable file."""
+def _check_fixture(path: str, value: str) -> None:
+    """Refuse unless the digits of ``value`` begin those of the fixture file."""
     try:
         with open(path, encoding="utf-8") as handle:
             reference = _normalize_digit_text(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
-        return _argument_error(f"cannot read fixture: {exc}")
+        _refuse(2, f"error: cannot read fixture: {exc}")
     computed = _normalize_digit_text(value)
     if not reference:
-        return _argument_error(f"fixture {path} contains no digits")
+        _refuse(2, f"error: fixture {path} contains no digits")
     if len(reference) < len(computed):
-        return _argument_error(
-            f"fixture {path} has only {len(reference)} digits, output has {len(computed)}"
-        )
+        _refuse(2, f"error: fixture {path} has only {len(reference)} digits, "
+                   f"output has {len(computed)}")
     if reference[: len(computed)] != computed:
-        position = next(
-            i for i, (a, b) in enumerate(zip(reference, computed)) if a != b
-        )
-        print(
-            f"fixture mismatch at digit {position + 1}: "
-            f"fixture {reference[position]!r}, computed {computed[position]!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
+        _refuse(1, f"fixture mismatch at digit {position + 1}: "
+                   f"fixture {reference[position]!r}, computed {computed[position]!r}")
 
 
 def _value_command(
@@ -109,17 +103,11 @@ def _value_command(
     ``plan`` and ``evaluate`` from this module's bindings at each call, so a
     wrapper bound in their place sees every request."""
     t0 = time.perf_counter()
-    try:
-        result = evaluate(key, plan(key, args.digits))
-        value = _render_digits(result, args.digits)
-    except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return 1
+    result = evaluate(key, plan(key, args.digits))
+    value = _render_digits(result, args.digits)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     if fixture is not None:
-        code = _check_fixture(fixture, value)
-        if code != 0:
-            return code
+        _check_fixture(fixture, value)
     if args.json:
         # imported on the JSON paths only: plain output never needs it
         import json
@@ -149,45 +137,27 @@ def cmd_arctan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.digits < 10:
-        return _argument_error("verify needs --digits of at least 10")
     ctx = context_for_verify(args.digits)
-    lines: list[tuple[str, bool, str]] = []
-
     factorization = verify_factorization()
-    lines.append(
-        ("factorization 4+x^4", factorization.passed, f"coefficients {factorization.coefficients}")
-    )
-
     overrides = None
     if args.inject_fault:
         # a doubled prefactor the identity check must catch
         good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
         overrides = {good: good._replace(prefactor_num=2 * good.prefactor_num)}
     identity = verify_arctan_identity(ctx, spec_overrides=overrides)
-    lines.append(
-        (
-            "arctan identity",
-            identity.passed,
-            f"residual {identity.residual_ulps} ulps <= bound {identity.bound_ulps} "
-            f"ulps (scale {identity.scale})",
-        )
-    )
-
-    for check in cross_formula_agreement(ctx):
-        lines.append(
-            (
-                f"pi {check.first} vs {check.second}",
-                check.passed,
-                f"diff {check.diff_ulps} ulps <= bound {check.bound_ulps} ulps",
-            )
-        )
-
-    all_passed = True
+    lines = [
+        ("factorization 4+x^4", factorization.passed,
+         f"coefficients {factorization.coefficients}"),
+        ("arctan identity", identity.passed,
+         f"residual {identity.residual_ulps} ulps <= bound {identity.bound_ulps} ulps "
+         f"(scale {identity.scale})"),
+        *((f"pi {check.first} vs {check.second}", check.passed,
+           f"diff {check.diff_ulps} ulps <= bound {check.bound_ulps} ulps")
+          for check in cross_formula_agreement(ctx)),
+    ]
     for name, passed, detail in lines:
-        all_passed &= passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    return 0 if all_passed else 1
+    return 0 if all(passed for _, passed, _ in lines) else 1
 
 
 _COMPARE_COLUMNS = ("method", "ratio", "terms_per_digit", "terms_for_target", "notes")
@@ -239,27 +209,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     values = {}
     for formula_id in PiFormulaId:
-        best = None
-        result = None
+        times = []
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            ctx = context_for_formula(formula_id, args.digits)
-            result = compute_pi(formula_id, ctx)
-            elapsed = (time.perf_counter() - t0) * 1000
-            best = elapsed if best is None else min(best, elapsed)
-        try:
-            values[formula_id.value] = _render_digits(result, args.digits)
-        except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
-            print(f"precision failure: {formula_id.value}: {exc}", file=sys.stderr)
-            return 1
-        rows.append((formula_id.value, result.terms_used, best))
+            result = compute_pi(formula_id, context_for_formula(formula_id, args.digits))
+            times.append((time.perf_counter() - t0) * 1000)
+        values[formula_id.value] = _render_digits(result, args.digits)
+        rows.append((formula_id.value, result.terms_used, min(times)))
     if len(set(values.values())) > 1:
         # every value reads "3." and then the digits
         first = next(i for i, chars in enumerate(zip(*values.values())) if len(set(chars)) > 1)
         detail = ", ".join(f"{name} has {value[first]!r}" for name, value in values.items())
-        print(f"pi routes disagree at digit {first - 1} after the point: {detail}",
-              file=sys.stderr)
-        return 1
+        _refuse(1, f"pi routes disagree at digit {first - 1} after the point: {detail}")
     print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
     for name, terms, best in rows:
         print(f"{name:<10}{args.digits:>8}{terms:>8}{best:>10.2f}")
@@ -321,18 +282,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # every subcommand is capped, before it plans
+    # every request limit, checked before anything is planned
     if args.digits > DEFAULT_MAX_DIGITS:
-        return _argument_error(
-            f"--digits {args.digits} exceeds the configured maximum {DEFAULT_MAX_DIGITS}"
-        )
+        _refuse(2, f"error: --digits {args.digits} exceeds the configured maximum "
+                   f"{DEFAULT_MAX_DIGITS}")
     if args.command == "bench" and args.repeat > MAX_REPEAT:
-        return _argument_error(f"--repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")
-    return args.func(args)
+        _refuse(2, f"error: --repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")
+    if args.command == "verify" and args.digits < 10:
+        _refuse(2, "error: verify needs --digits of at least 10")
+    try:
+        return args.func(args)
+    except (InsufficientPrecisionError, BoundaryStraddleError) as exc:
+        _refuse(1, f"precision failure: {exc}")
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run :func:`main` as the process: exit with its status, or with 3 if
+    standard output cannot be written, silently for a closed pipe and with
+    one ``error: cannot write output`` line otherwise."""
+    if sys.stdout is None:  # started with descriptor 1 closed
+        _refuse(3, "error: cannot write output: standard output is closed")
+    try:
+        try:
+            status = main()
+        finally:
+            sys.stdout.flush()
+    except OSError as exc:  # main handles the other one it meets, an unreadable fixture
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again at exit; as the signal
+        # module's docs advise, that write goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 3
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -120,12 +120,6 @@ def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec
     return parts
 
 
-def _plan(parts: list[tuple[int, SeriesSpec]], target_digits: int) -> PrecisionContext:
-    """Context sized for the weighted series ``parts``, each counted once
-    at its own prefactor: weights multiply error, not operations."""
-    return context_for(dict.fromkeys(spec for _, spec in parts), target_digits)
-
-
 def sun(
     case: CaseParams | CaseId | Iterable[tuple[int, CaseParams | CaseId]],
     ctx: PrecisionContext,
@@ -333,15 +327,17 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 
 def context_for_case(case: CaseParams | CaseId, target_digits: int) -> PrecisionContext:
     """Context sized for one arctangent assembly."""
-    return _plan(_stack(case), target_digits)
+    return context_for((spec for _, spec in _stack(case)), target_digits)
 
 
 def context_for_formula(formula_id: PiFormulaId, target_digits: int) -> PrecisionContext:
     """Context sized for one pi route at one digit target."""
-    return _plan(_series(PI_FORMULAS[formula_id].terms), target_digits)
+    return context_for((spec for _, spec in _series(PI_FORMULAS[formula_id].terms)), target_digits)
 
 
 def context_for_verify(target_digits: int) -> PrecisionContext:
-    """Context wide enough for the identity and all cross-route checks."""
+    """Context wide enough for the identity and all cross-route checks: the
+    identity's series are all among those of the ``case1`` and ``combined``
+    routes, so planning the routes plans it too."""
     terms = [term for formula in PI_FORMULAS.values() for term in formula.terms]
-    return _plan(_series([*terms, *_IDENTITY_TERMS]), target_digits)
+    return context_for((spec for _, spec in _series(terms)), target_digits)

@@ -247,14 +247,19 @@ def eval_series(
     the remainder after them is below one ulp because ``N_i`` is planned
     against the full scale.  Sums and products by the integer weights are
     exact, so ``error_ulps = sum(|weight_i| * (2*N_i + 1))``.
+
+    That certificate depends only on the planned ``N_i``, so it is known
+    before any term is summed: :class:`InsufficientPrecisionError` is raised
+    then if it certifies fewer than the context's target digits, and a
+    returned result always certifies at least that many.
     """
     stack = [(1, specs)] if isinstance(specs, SeriesSpec) else list(specs)
     scale = ctx.scale
     planned = [max(1, terms_needed(spec, scale)) for _, spec in stack]
-    for n in planned:
-        guaranteed = guaranteed_digit_count(scale, 2 * n + 1)
-        if guaranteed < ctx.target_digits:
-            raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
+    error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
+    guaranteed = guaranteed_digit_count(scale, error_ulps)
+    if guaranteed < ctx.target_digits:
+        raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
 
     # fx_div_small charges its ulp here; the certificate is the closed form
     # above, which does not depend on how many divisions stored the terms
@@ -271,12 +276,11 @@ def eval_series(
     total = FixedPoint.from_scaled(0, scale)
     for (weight, _), partial in zip(stack, sums):
         total = fx_add(total, fx_mul_small(partial, weight))
-    error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
     return EvalResult(
         value=total,
         terms_used=sum(planned),
         error_ulps=error_ulps,
-        guaranteed_digits=guaranteed_digit_count(scale, error_ulps),
+        guaranteed_digits=guaranteed,
         component_terms=tuple(planned),
     )
 
@@ -380,9 +384,10 @@ def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
 def context_for(specs: Iterable[SeriesSpec], target_digits: int) -> PrecisionContext:
     """Precision context sized for evaluating the given series jointly.
 
-    The operation count is estimated at a generous probe precision so the
+    Each distinct series is counted once, however often it is listed.  The
+    operation count is estimated at a generous probe precision so the
     guard-digit rule is applied to an overestimate, never an undercount.
     """
     probe = target_digits + 30
-    ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in specs)
+    ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in dict.fromkeys(specs))
     return PrecisionContext.for_op_count(target_digits, ops)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -147,6 +148,22 @@ def test_repeat_cap_refuses_before_planning(planning_blocked, capsys):
     # at the cap itself the request goes on to plan
     with pytest.raises(PlanningReached):
         main(["bench", "--digits", "10", "--repeat", str(cli.MAX_REPEAT)])
+
+
+def test_verify_minimum_refuses_before_planning(planning_blocked, capsys):
+    code, out, err = run_cli(["verify", "--digits", "9"], capsys)
+    assert (code, out, err) == (2, "", "error: verify needs --digits of at least 10\n")
+    with pytest.raises(PlanningReached):
+        main(["verify", "--digits", "10"])
+
+
+def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["rationalpi", "pi", "--digits", "10"])
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as info:
+        cli.entrypoint()
+    assert info.value.code == 3
+    assert capsys.readouterr().err == "error: cannot write output: standard output is closed\n"
 
 
 def test_happy_paths_exit_zero(capsys):
@@ -498,3 +515,76 @@ def test_module_entrypoint_black_box():
         text=True,
     )
     assert result.returncode == 2
+
+
+# --- output failures: exit 3, never a traceback ------------------------------------
+
+# one request per subcommand and the JSON report, with the bytes a reader
+# takes before it closes the pipe.  The first three print 5000 digits, more
+# than a one-page pipe holds, so their writer is still blocked when the
+# reader closes; the others fit, so their reader is gone before they start.
+OUTPUT_REQUESTS = {
+    "pi": (["pi", "--digits", "5000"], 16),
+    "pi-json": (["pi", "--digits", "5000", "--json"], 16),
+    "arctan": (["arctan", "--case", "1/2", "--digits", "5000"], 16),
+    "verify": (["verify", "--digits", "50"], 0),
+    "compare": (["compare", "--digits", "10"], 0),
+    "bench": (["bench", "--digits", "40", "--repeat", "1"], 0),
+}
+
+
+def _module_argv(name):
+    return [sys.executable, "-m", "rationalpi", *OUTPUT_REQUESTS[name][0]]
+
+
+def _env():
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
+def _one_page_pipe():
+    """``(read_end, write_end)`` of a pipe holding one 4 KiB page, or a skip
+    where the capacity cannot be set that low."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set")
+    read_end, write_end = os.pipe()
+    if fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096) > 4096:
+        os.close(read_end)
+        os.close(write_end)
+        pytest.skip("the smallest pipe holds more than 4 KiB")
+    return read_end, write_end
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_REQUESTS))
+def test_closed_pipe_exits_three_silently(name):
+    keep = OUTPUT_REQUESTS[name][1]
+    read_end, write_end = _one_page_pipe() if keep else os.pipe()
+    if not keep:
+        os.close(read_end)
+    with subprocess.Popen(_module_argv(name), stdout=write_end, stderr=subprocess.PIPE,
+                          env=_env()) as proc:
+        os.close(write_end)
+        if keep:
+            assert os.read(read_end, keep)
+            os.close(read_end)
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (3, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("name", list(OUTPUT_REQUESTS))
+def test_full_device_exits_three_with_one_line(name):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(_module_argv(name), stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=_env())
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("name", list(OUTPUT_REQUESTS))
+def test_closed_stdout_exits_three_with_one_line(name):
+    # sh starts the interpreter with descriptor 1 closed, as `>&-` does
+    proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *_module_argv(name)],
+                          stderr=subprocess.PIPE, text=True, env=_env())
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write output: standard output is closed\n"

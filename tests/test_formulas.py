@@ -149,6 +149,15 @@ def test_cross_formula_agreement(digits):
         assert check.passed, (check.first, check.second, check.diff_ulps, check.bound_ulps)
 
 
+@pytest.mark.parametrize("digits", (10, 50, 128, 500, 3000))
+def test_verify_context_is_sized_by_the_distinct_series(digits):
+    # the identity's nine series are those of case1 and combined, so verify
+    # plans the eleven distinct series of the three routes, each once
+    cases = [series_for_case(case, part) for case in CASES.values() for part in Component]
+    machin = [arctan_recip_spec(5), arctan_recip_spec(239)]
+    assert context_for_verify(digits) == series.context_for(cases + machin, digits)
+
+
 @pytest.mark.parametrize("digits", (10, 50, 128, 500, 2000))
 def test_identity_is_a_quarter_of_case1_against_combined(digits):
     # combined - case1 = 8*arctan(1/3) + 4*arctan(1/7) - 4*arctan(1), four times

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rationalpi import series
-from rationalpi.fixedpoint import ErrorLedger, FixedPoint, PrecisionContext, fx_to_decimal_string
+from rationalpi.fixedpoint import (
+    ErrorLedger,
+    FixedPoint,
+    InsufficientPrecisionError,
+    PrecisionContext,
+    fx_to_decimal_string,
+)
 from rationalpi.series import (
     CASES,
     CaseId,
@@ -397,6 +403,42 @@ def test_eval_error_budget_stays_modest():
     result = eval_series(spec, ctx)
     assert result.error_ulps <= 2 * result.terms_used + 2
     assert result.component_terms == (result.terms_used,)
+
+
+def _no_summing(*args):
+    raise AssertionError("terms were summed")
+
+
+def test_weighted_stack_refused_from_its_certificate_before_summing(monkeypatch):
+    # alone the series certifies 27 digits at scale 30; the weight
+    # multiplies its 2*N + 1 ulps, and the weighted certificate covers 18
+    monkeypatch.setattr(series, "_shared_pass", _no_summing)
+    monkeypatch.setattr(series, "_running_power_sum", _no_summing)
+    stack = [(10**9, series_for_case(CASES[CaseId.X_HALF], Component.SATURN))]
+    with pytest.raises(InsufficientPrecisionError) as info:
+        eval_series(stack, PrecisionContext(20, 10))
+    assert (info.value.requested, info.value.guaranteed) == (20, 18)
+
+
+@pytest.mark.parametrize("weight", (1, 7, 10**3, 10**6, 10**9, 10**12))
+@pytest.mark.parametrize("target", (5, 20, 60))
+def test_result_certifies_its_target_or_is_refused(weight, target):
+    specs = [series_for_case(CASES[CaseId.X1], component) for component in ALL_COMPONENTS]
+    ctx = context_for(specs, target)
+    try:
+        result = eval_series([(weight, spec) for spec in specs], ctx)
+    except InsufficientPrecisionError as exc:
+        assert exc.guaranteed < target
+    else:
+        assert result.guaranteed_digits >= target
+
+
+def test_context_counts_each_distinct_series_once():
+    # counted twice, SATURN's operations would cross 100 at one digit and
+    # raise the guard from 12 to 13 digits
+    spec = series_for_case(CASES[CaseId.X1], Component.SATURN)
+    assert context_for([spec], 1).guard_digits == 12
+    assert context_for([spec, spec], 1) == context_for([spec], 1)
 
 
 # --- term ratios --------------------------------------------------------------
