@@ -9,7 +9,8 @@ else is byte-reproducible across runs.
 Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``,
 ``bench`` refuses ``--repeat`` above ``MAX_REPEAT`` and ``verify`` refuses
 ``--digits`` below 10, all before any planning, so every request has a
-bounded cost.
+bounded cost.  ``pi --fixture`` refuses an unreadable file, or one with
+fewer digits than the output, before planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -76,38 +77,41 @@ def _normalize_digit_text(text: str) -> str:
     return "".join("".join(kept).split()).replace(".", "")
 
 
-def _check_fixture(path: str, value: str) -> None:
-    """Refuse unless the digits of ``value`` begin those of the fixture file."""
+def _read_fixture(path: str, length: int) -> str:
+    """The digits of the fixture file, refused unless it has at least
+    ``length`` of them; read before any planning, so a bad file costs
+    nothing."""
     try:
         with open(path, encoding="utf-8") as handle:
             reference = _normalize_digit_text(handle.read())
     except (OSError, UnicodeDecodeError) as exc:
         _refuse(2, f"error: cannot read fixture: {exc}")
-    computed = _normalize_digit_text(value)
     if not reference:
         _refuse(2, f"error: fixture {path} contains no digits")
-    if len(reference) < len(computed):
+    if len(reference) < length:
         _refuse(2, f"error: fixture {path} has only {len(reference)} digits, "
-                   f"output has {len(computed)}")
-    if reference[: len(computed)] != computed:
-        position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
-        _refuse(1, f"fixture mismatch at digit {position + 1}: "
-                   f"fixture {reference[position]!r}, computed {computed[position]!r}")
+                   f"output has {length}")
+    return reference
 
 
 def _value_command(
-    args: argparse.Namespace, method: str, key, plan, evaluate, fixture: str | None = None
+    args: argparse.Namespace, method: str, key, plan, evaluate, reference: str | None = None
 ) -> int:
-    """Plan, evaluate and render one value, diff it against ``fixture`` if
-    given, then print the digits or the schema-1 JSON report.  Callers pass
-    ``plan`` and ``evaluate`` from this module's bindings at each call, so a
-    wrapper bound in their place sees every request."""
+    """Plan, evaluate and render one value, refuse with status 1 unless its
+    digits begin the ``reference`` digits if given, then print the digits or
+    the schema-1 JSON report.  Callers pass ``plan`` and ``evaluate`` from
+    this module's bindings at each call, so a wrapper bound in their place
+    sees every request."""
     t0 = time.perf_counter()
     result = evaluate(key, plan(key, args.digits))
     value = _render_digits(result, args.digits)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    if fixture is not None:
-        _check_fixture(fixture, value)
+    if reference is not None:
+        computed = _normalize_digit_text(value)
+        if not reference.startswith(computed):
+            position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
+            _refuse(1, f"fixture mismatch at digit {position + 1}: "
+                       f"fixture {reference[position]!r}, computed {computed[position]!r}")
     if args.json:
         # imported on the JSON paths only: plain output never needs it
         import json
@@ -127,8 +131,10 @@ def _value_command(
 
 
 def cmd_pi(args: argparse.Namespace) -> int:
+    # the output is "3." and the digits: one digit more than --digits
+    reference = None if args.fixture is None else _read_fixture(args.fixture, args.digits + 1)
     return _value_command(args, args.method, PiFormulaId(args.method), context_for_formula,
-                          compute_pi, args.fixture)
+                          compute_pi, reference)
 
 
 def cmd_arctan(args: argparse.Namespace) -> int:

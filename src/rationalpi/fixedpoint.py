@@ -3,8 +3,9 @@
 A value is ``sign * magnitude * 10**(-scale)`` where the magnitude is an
 arbitrary-size non-negative integer and the scale counts decimal fractional
 digits.  Addition and multiplication by a small integer are exact.  Division
-by a small positive integer truncates toward zero and charges one unit in
-the last place (ulp) to an :class:`ErrorLedger`; the ledger total is a sound
+by a small positive integer truncates toward zero, so it loses less than one
+unit in the last place (ulp).  The layer charges nothing itself: whoever
+plans the divisions counts that error into an :class:`ErrorLedger`, a sound
 upper bound on ``|stored - true|``, which is what lets
 :func:`fx_to_decimal_string` certify every digit it emits.
 
@@ -146,28 +147,21 @@ def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
     return tuple.__new__(FixedPoint, (sign, magnitude, scale))
 
 
-class ErrorLedger:
-    """Accumulated worst-case error of one computation, counted in ulps.
+class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps")):
+    """Worst-case error of one stored value, counted in ulps.
 
-    The count is monotone non-decreasing: truncating divisions charge one
-    ulp each.  Multiplying a tracked value by ``m`` is exact but scales
-    whatever error it already carries by ``|m|``; callers that multiply
-    account for that in the ulps they carry forward.
+    Each truncating division behind the value adds one ulp, and multiplying
+    the value by ``m`` scales the count by ``|m|``; a new count is a new
+    ledger.  Checked like the other records: a negative count raises
+    :class:`ValueError`.
     """
 
-    __slots__ = ("_ulps",)
+    __slots__ = ()
 
-    def __init__(self, ulps: int = 0):
+    def __new__(cls, ulps: int = 0):
         if ulps < 0:
             raise ValueError("ulps must be non-negative")
-        self._ulps = ulps
-
-    @property
-    def ulps(self) -> int:
-        return self._ulps
-
-    def __repr__(self):
-        return f"ErrorLedger(ulps={self._ulps})"
+        return super().__new__(cls, ulps)
 
 
 class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits guard_digits")):
@@ -268,22 +262,21 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
     return _fixed(-a.sign, a.magnitude * -m, a.scale)
 
 
-def fx_div_small(a: FixedPoint, m: int, ledger: ErrorLedger) -> FixedPoint:
+def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:
     """Divide by a small positive integer, truncating toward zero.
 
-    Charges exactly one ulp to the ledger per call, even for ``m == 1``:
-    the flat rule is what keeps the ledger a closed-form upper bound.
-    A power of two ``m == 2**s`` divides by ``magnitude >> s``, which equals
-    ``magnitude // m`` for the non-negative magnitude and skips long division.
-    The test builds one ``2**s`` to compare with ``m``; ``m & (m - 1)``
-    would build two integers as large as ``m`` with a borrow across them.
+    The stored quotient misses the exact one by less than one ulp, which
+    the caller's ledger counts; :func:`rationalpi.series.eval_series` counts
+    it in its certificate.  A power of two ``m == 2**s`` divides by
+    ``magnitude >> s``, which equals ``magnitude // m`` for the non-negative
+    magnitude and skips long division.  The test builds one ``2**s`` to
+    compare with ``m``; ``m & (m - 1)`` would build two integers as large as
+    ``m`` with a borrow across them.
     """
     if m == 0:
         raise ZeroDivisionError("division by zero")
     if m < 0:
         raise ValueError("divisor must be positive")
-    # the ledger's one ulp for this division, added in place
-    ledger._ulps += 1
     shift = m.bit_length() - 1
     if m == 1 << shift:
         magnitude = a.magnitude >> shift

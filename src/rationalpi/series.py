@@ -47,9 +47,11 @@ store the same integers, so values never depend on which series share a
 pass or on the interpreter's digit size.
 
 Term counts are fixed up front by :func:`terms_needed` against the full
-working scale, which pushes the series remainder below one working ulp and
-keeps the error certificate independent of runtime behavior; the
-certificate is proved in :func:`eval_series`.
+working scale, which pushes the series remainder below one working ulp.
+The evaluator's certificate is the package's only error count: one ulp per
+truncating division of the term-by-term algorithm plus one for the
+remainder, whichever way the terms were stored.  It depends only on the
+term counts and is proved in :func:`eval_series`.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .fixedpoint import (
-    ErrorLedger,
     FixedPoint,
     InsufficientPrecisionError,
     PrecisionContext,
@@ -189,9 +190,9 @@ class EvalResult(
 ):
     """A certified evaluation: value, cost and error budget.
 
-    ``error_ulps`` covers the arithmetic ledger and the series remainder
-    together; ``component_terms`` lists per-series term counts when the
-    result combines several series.
+    ``error_ulps`` is the certificate: it covers the truncating divisions
+    and the series remainder together.  ``component_terms`` lists
+    per-series term counts when the result combines several series.
     """
 
     __slots__ = ()
@@ -239,14 +240,16 @@ def eval_series(
     one-digit divisors where they can, and both store the same terms, so the
     value depends neither on which series share a pass nor on the folding.
 
-    The certificate keeps the running power's charge of ``2*N_i + 1`` ulps
-    per series, one per division plus one for the remainder, however the
-    terms were stored.  It is sound because each stored term is the floor
-    of its exact value and so below it by less than one ulp: the ``N_i``
-    stored terms miss the exact partial sum by less than ``N_i`` ulps, and
-    the remainder after them is below one ulp because ``N_i`` is planned
-    against the full scale.  Sums and products by the integer weights are
-    exact, so ``error_ulps = sum(|weight_i| * (2*N_i + 1))``.
+    The certificate charges ``2*N_i + 1`` ulps per series: one per division
+    of the term-by-term algorithm, which divides the prefactor once, each
+    of the ``N_i`` powers by ``d_k`` and each of the ``N_i - 1`` next powers
+    by ``q_den``, plus one for the remainder.  It is sound because each
+    stored term is the floor of its exact value and so below it by less
+    than one ulp: the ``N_i`` stored terms miss the exact partial sum by
+    less than ``N_i`` ulps, and the remainder after them is below one ulp
+    because ``N_i`` is planned against the full scale.  Sums and products by
+    the integer weights are exact, so
+    ``error_ulps = sum(|weight_i| * (2*N_i + 1))``.
 
     That certificate depends only on the planned ``N_i``, so it is known
     before any term is summed: :class:`InsufficientPrecisionError` is raised
@@ -261,17 +264,14 @@ def eval_series(
     if guaranteed < ctx.target_digits:
         raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
 
-    # fx_div_small charges its ulp here; the certificate is the closed form
-    # above, which does not depend on how many divisions stored the terms
-    ledger = ErrorLedger()
     sums = [FixedPoint.from_scaled(0, scale)] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
         if _is_power_of_two(spec.prefactor_den) and _is_power_of_two(spec.q_den):
             shared.append((i, spec, n))
         else:
-            sums[i] = _running_power_sum(spec, n, scale, ledger)
-    _shared_pass(shared, sums, scale, ledger)
+            sums[i] = _running_power_sum(spec, n, scale)
+    _shared_pass(shared, sums, scale)
 
     total = FixedPoint.from_scaled(0, scale)
     for (weight, _), partial in zip(stack, sums):
@@ -289,7 +289,7 @@ def _is_power_of_two(n: int) -> bool:
     return n == 1 << (n.bit_length() - 1)
 
 
-def _running_power_sum(spec: SeriesSpec, n: int, scale: int, ledger: ErrorLedger) -> FixedPoint:
+def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
     """The first ``n`` terms, summed forward from a base power.
 
     The first base is one division of the prefactor numerator by its
@@ -304,17 +304,15 @@ def _running_power_sum(spec: SeriesSpec, n: int, scale: int, ledger: ErrorLedger
     """
     limit = 1 << _DIGIT_BITS
     q = spec.q_den
-    power = fx_div_small(
-        FixedPoint.from_int(spec.prefactor_num, scale), spec.prefactor_den, ledger
-    )
+    power = fx_div_small(FixedPoint.from_int(spec.prefactor_num, scale), spec.prefactor_den)
     total = FixedPoint.from_scaled(0, scale)
     fold = 1  # q**j for the j-th term stored from the current base
     for k in range(n):
         d = spec.denominator(k)
         if fold > 1 and fold * max(q, d) >= limit:
-            power = fx_div_small(power, fold, ledger)
+            power = fx_div_small(power, fold)
             fold = 1
-        term = fx_div_small(power, fold * d, ledger)
+        term = fx_div_small(power, fold * d)
         total = fx_add(total, fx_mul_small(term, -1 if k & 1 else 1))
         fold *= q
     return total
@@ -336,10 +334,7 @@ def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[
 
 
 def _shared_pass(
-    shared: list[tuple[int, SeriesSpec, int]],
-    sums: list[FixedPoint],
-    scale: int,
-    ledger: ErrorLedger,
+    shared: list[tuple[int, SeriesSpec, int]], sums: list[FixedPoint], scale: int
 ) -> None:
     """Add the planned terms of the power-of-two series ``(i, spec, n)``
     into ``sums[i]``, largest denominator first, with one long division per
@@ -367,10 +362,10 @@ def _shared_pass(
             ex, x = shifted.get(pn, (e0 + 1, None))
             if e0 < ex or d << (e0 - ex) >= limit:
                 ex = e0 - min(e0, max(0, bits - d.bit_length()))
-                x = fx_div_small(numerators[pn], 1 << ex, ledger)
+                x = fx_div_small(numerators[pn], 1 << ex)
                 shifted[pn] = ex, x
-            base = fx_div_small(x, d << (e0 - ex), ledger)
-        term = base if e == e0 else fx_div_small(base, 1 << (e - e0), ledger)
+            base = fx_div_small(x, d << (e0 - ex))
+        term = base if e == e0 else fx_div_small(base, 1 << (e - e0))
         sums[i] = fx_add(sums[i], fx_mul_small(term, -1 if k & 1 else 1))
 
 

@@ -157,6 +157,28 @@ def test_verify_minimum_refuses_before_planning(planning_blocked, capsys):
         main(["verify", "--digits", "10"])
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    (
+        (None, "error: cannot read fixture: [Errno 2] No such file or directory: '{path}'"),
+        ("# no digits here\n", "error: fixture {path} contains no digits"),
+        ("3.14\n", "error: fixture {path} has only 3 digits, output has 20001"),
+    ),
+    ids=("missing", "no-digits", "too-short"),
+)
+def test_fixture_refuses_before_planning(text, message, tmp_path, planning_blocked, capsys):
+    path = tmp_path / "ref.txt"
+    if text is not None:
+        path.write_text(text)
+    argv = ["pi", "--digits", "20000", "--method", "case1", "--fixture", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", message.format(path=path) + "\n")
+    # a fixture with enough digits goes on to plan; only the comparison waits
+    path.write_text("3." + "1" * 20000)
+    with pytest.raises(PlanningReached):
+        main(argv)
+
+
 def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rationalpi", "pi", "--digits", "10"])
     monkeypatch.setattr(sys, "stdout", None)

@@ -279,9 +279,9 @@ def divisions(monkeypatch):
     seen = []
     real = series.fx_div_small
 
-    def recording(a, m, ledger):
+    def recording(a, m):
         seen.append((a, m))
-        return real(a, m, ledger)
+        return real(a, m)
 
     monkeypatch.setattr(series, "fx_div_small", recording)
     return seen

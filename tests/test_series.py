@@ -110,6 +110,7 @@ VALIDATED_EDITS = (
     (FixedPoint(1, 5, 4), "scale", -1),
     (FixedPoint(1, 5, 4), "magnitude", 0),
     (FixedPoint(0, 0, 4), "sign", 1),
+    (ErrorLedger(3), "ulps", -1),
 )
 
 
@@ -133,7 +134,8 @@ def test_replace_runs_the_constructor_checks(record, field, bad):
 def test_records_copy_and_pickle_to_equal_records(duplicate):
     ctx = PrecisionContext(20, 10)
     spec = SeriesSpec(1, 4, 1, 4, 4)
-    records = (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx), FixedPoint(-1, 5, 4))
+    records = (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx), FixedPoint(-1, 5, 4),
+               ErrorLedger(3))
     for record in records:
         twin = duplicate(record)
         assert twin == record and type(twin) is type(record)
@@ -353,9 +355,9 @@ def test_narrow_digits_equal_plain_integer_floor_sums(bits, stack, digits):
     divisors = []
     real = series.fx_div_small
 
-    def recording(a, m, ledger):
+    def recording(a, m):
         divisors.append(m)
-        return real(a, m, ledger)
+        return real(a, m)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(series, "_DIGIT_BITS", bits)
