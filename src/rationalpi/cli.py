@@ -188,9 +188,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return 0
     cells = [_row_cells(row) for row in rows]
     if args.format == "csv":
-        print(",".join(_COMPARE_COLUMNS))
-        for row_cells in cells:
-            print(",".join(_csv_field(cell) for cell in row_cells))
+        # imported on the CSV path only, as json is on the JSON paths
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(_COMPARE_COLUMNS)
+        writer.writerows(cells)
         return 0
     widths = [
         max(len(_COMPARE_COLUMNS[i]), *(len(c[i]) for c in cells))
@@ -201,12 +204,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for row_cells in cells:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row_cells)).rstrip())
     return 0
-
-
-def _csv_field(cell: str) -> str:
-    if "," in cell or '"' in cell:
-        return '"' + cell.replace('"', '""') + '"'
-    return cell
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

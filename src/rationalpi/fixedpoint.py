@@ -4,10 +4,10 @@ A value is ``sign * magnitude * 10**(-scale)`` where the magnitude is an
 arbitrary-size non-negative integer and the scale counts decimal fractional
 digits.  Addition and multiplication by a small integer are exact.  Division
 by a small positive integer truncates toward zero, so it loses less than one
-unit in the last place (ulp).  The layer charges nothing itself: whoever
-plans the divisions counts that error into an :class:`ErrorLedger`, a sound
-upper bound on ``|stored - true|``, which is what lets
-:func:`fx_to_decimal_string` certify every digit it emits.
+unit in the last place (ulp).  The layer counts no error itself: the
+evaluator's certificate in :mod:`rationalpi.series` bounds
+``|stored - true|``, and :func:`fx_to_decimal_string` takes that bound as an
+:class:`ErrorLedger` to certify every digit it emits.
 
 All operands of one computation share a single scale, fixed up front by a
 :class:`PrecisionContext`.  Mixing scales raises instead of rescaling, so
@@ -148,11 +148,9 @@ def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
 
 
 class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps")):
-    """Worst-case error of one stored value, counted in ulps.
-
-    Each truncating division behind the value adds one ulp, and multiplying
-    the value by ``m`` scales the count by ``|m|``; a new count is a new
-    ledger.  Checked like the other records: a negative count raises
+    """Worst-case error of one stored value, counted in ulps: an
+    evaluation's certificate, as :func:`fx_to_decimal_string` reads it.
+    Checked like the other records: a negative count raises
     :class:`ValueError`.
     """
 
@@ -166,12 +164,11 @@ class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps")):
 
 class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits guard_digits")):
     """Working precision: ``target_digits`` the caller wants certified plus
-    ``guard_digits`` that absorb per-operation truncation error.
+    ``guard_digits`` that hold the certificate below the target's last place.
 
-    Guard sizing rule: at least ``ceil(log10(op_count)) + 10`` for the
-    planned number of error-charging operations; :meth:`for_op_count`
-    applies it.  Ten is also the hard floor accepted here.  Every way of
-    building one, ``_replace`` included, runs the checks.
+    :func:`rationalpi.series.context_for` sizes the guard; ``MIN_GUARD`` is
+    the floor accepted here.  Every way of building one, ``_replace``
+    included, runs the checks.
     """
 
     __slots__ = ()
@@ -188,12 +185,6 @@ class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits g
     @property
     def scale(self) -> int:
         return self.target_digits + self.guard_digits
-
-    @classmethod
-    def for_op_count(cls, target_digits: int, op_count: int) -> "PrecisionContext":
-        """Context whose guard covers ``op_count`` one-ulp error charges."""
-        guard = _ceil_log10(max(op_count, 1)) + 10
-        return cls(target_digits, guard)
 
 
 def _ceil_log10(n: int) -> int:
@@ -266,12 +257,12 @@ def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:
     """Divide by a small positive integer, truncating toward zero.
 
     The stored quotient misses the exact one by less than one ulp, which
-    the caller's ledger counts; :func:`rationalpi.series.eval_series` counts
-    it in its certificate.  A power of two ``m == 2**s`` divides by
-    ``magnitude >> s``, which equals ``magnitude // m`` for the non-negative
-    magnitude and skips long division.  The test builds one ``2**s`` to
-    compare with ``m``; ``m & (m - 1)`` would build two integers as large as
-    ``m`` with a borrow across them.
+    :func:`rationalpi.series.eval_series` counts in its certificate.  A
+    power of two ``m == 2**s`` divides by ``magnitude >> s``, which equals
+    ``magnitude // m`` for the non-negative magnitude and skips long
+    division.  The test builds one ``2**s`` to compare with ``m``;
+    ``m & (m - 1)`` would build two integers as large as ``m`` with a borrow
+    across them.
     """
     if m == 0:
         raise ZeroDivisionError("division by zero")

@@ -70,6 +70,7 @@ from .fixedpoint import (
     InsufficientPrecisionError,
     PrecisionContext,
     _Checked,
+    _ceil_log10,
     fx_add,
     fx_div_small,
     fx_mul_small,
@@ -209,19 +210,21 @@ def terms_needed(spec: SeriesSpec, target_digits: int) -> int:
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
 
+    q = spec.q_den
     threshold = spec.prefactor_num * 10**target_digits
-
-    def small_enough(n: int) -> bool:
-        return threshold < spec.prefactor_den * spec.q_den**n * spec.denominator(n)
-
     seed = (
         target_digits + math.log10(spec.prefactor_num) - math.log10(spec.prefactor_den)
-    ) / math.log10(spec.q_den)
+    ) / math.log10(q)
     n = max(0, int(seed) - 2)
-    while not small_enough(n):
+    # prefactor_den * q**n, raised once and then stepped by one multiply or
+    # one exact division per step
+    scaled = spec.prefactor_den * q**n
+    while threshold >= scaled * spec.denominator(n):
         n += 1
-    while n > 0 and small_enough(n - 1):
+        scaled *= q
+    while n > 0 and threshold < (smaller := scaled // q) * spec.denominator(n - 1):
         n -= 1
+        scaled = smaller
     return n
 
 
@@ -377,12 +380,16 @@ def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
 
 
 def context_for(specs: Iterable[SeriesSpec], target_digits: int) -> PrecisionContext:
-    """Precision context sized for evaluating the given series jointly.
+    """Precision context sized for evaluating the given series jointly; the
+    package's one guard-digit rule.
 
-    Each distinct series is counted once, however often it is listed.  The
-    operation count is estimated at a generous probe precision so the
-    guard-digit rule is applied to an overestimate, never an undercount.
+    Each distinct series is counted once, however often it is listed, as
+    ``2 * (N + 2)`` operations, with ``N`` planned at a probe of
+    ``target_digits + 30`` so the count is an overestimate, never an
+    undercount.  The guard is ``ceil(log10(ops)) + PrecisionContext.MIN_GUARD``
+    digits.  :func:`eval_series` still refuses a result whose certificate
+    covers fewer than the target digits.
     """
     probe = target_digits + 30
     ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in dict.fromkeys(specs))
-    return PrecisionContext.for_op_count(target_digits, ops)
+    return PrecisionContext(target_digits, _ceil_log10(max(ops, 1)) + PrecisionContext.MIN_GUARD)

@@ -511,7 +511,7 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     # -S skips the site module, whose .pth files may import any of these
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import rationalpi.cli; "
-        "print(sorted({'dataclasses', 'typing', 'json', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'typing', 'json', 'csv', 'inspect'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code, str(SRC)],

@@ -363,13 +363,6 @@ def test_context_scale_and_validation():
         PrecisionContext(50, 9)
 
 
-def test_context_for_op_count_guard_rule():
-    assert PrecisionContext.for_op_count(10, 1).guard_digits == 10
-    assert PrecisionContext.for_op_count(10, 999).guard_digits == 13
-    assert PrecisionContext.for_op_count(10, 1000).guard_digits == 13
-    assert PrecisionContext.for_op_count(10, 1001).guard_digits == 14
-
-
 # --- digit emission -----------------------------------------------------------
 
 PI_30 = "3.141592653589793238462643383279"

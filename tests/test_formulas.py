@@ -1,3 +1,5 @@
+import decimal
+import functools
 import math
 import sys
 import tracemalloc
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rationalpi import series
-from rationalpi.fixedpoint import ErrorLedger, fx_to_decimal_string
+from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
 from rationalpi.formulas import (
     PI_FORMULAS,
     PiFormulaId,
@@ -141,6 +143,22 @@ def test_result_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
     assert int_str_cap() in (None, 4300)
 
 
+def test_library_calls_leave_interpreter_state_alone(int_str_cap):
+    # 5000 digits is past the int/str cap held at 4300 here; neither the cap
+    # nor the thread's decimal context, which rendering goes through, may
+    # change under a library call
+    context = decimal.getcontext()
+    before = (context.prec, context.rounding, dict(context.traps))
+    result = compute_pi(PiFormulaId.COMBINED, context_for_formula(PiFormulaId.COMBINED, 5000))
+    sun(CaseId.X_HALF, context_for_case(CaseId.X_HALF, 5000))
+    assert verify_arctan_identity(context_for_verify(5000)).passed
+    assert digits_of(result, 5000).startswith("3.14159265358979")
+    assert repr(result).startswith("EvalResult(value=FixedPoint(sign=1, magnitude=314159")
+    assert int_str_cap() in (None, 4300)
+    context = decimal.getcontext()
+    assert (context.prec, context.rounding, dict(context.traps)) == before
+
+
 @pytest.mark.parametrize("digits", (10, 30, 50, 128))
 def test_cross_formula_agreement(digits):
     checks = cross_formula_agreement(context_for_verify(digits))
@@ -156,6 +174,46 @@ def test_verify_context_is_sized_by_the_distinct_series(digits):
     cases = [series_for_case(case, part) for case in CASES.values() for part in Component]
     machin = [arctan_recip_spec(5), arctan_recip_spec(239)]
     assert context_for_verify(digits) == series.context_for(cases + machin, digits)
+
+
+# raw (pn, pd, offset, step, q_den) of every series, re-derived by hand: for
+# x = 1/x_den the assembly sums x/4, x^2/8 and x^3/4 over 4k+1, 2k+1 and 4k+3
+# with ratio x^4/4, and arctan(1/n) = (1/n) * sum (-1)^k n^(-2k) / (2k+1)
+def _raw_case(x_den):
+    q_den = 4 * x_den**4
+    return ((1, 4 * x_den, 1, 4, q_den), (1, 8 * x_den**2, 1, 2, q_den),
+            (1, 4 * x_den**3, 3, 4, q_den))
+
+
+RAW_CASES = {CaseId.X1: _raw_case(1), CaseId.X_HALF: _raw_case(2),
+             CaseId.X_QUARTER: _raw_case(4)}
+RAW_ROUTES = {
+    PiFormulaId.CASE1: RAW_CASES[CaseId.X1],
+    PiFormulaId.COMBINED: RAW_CASES[CaseId.X_HALF] + RAW_CASES[CaseId.X_QUARTER],
+    PiFormulaId.MACHIN_ORACLE: ((1, 5, 1, 2, 25), (1, 239, 1, 2, 239**2)),
+}
+
+
+def test_context_guard_rule_over_a_digit_sweep():
+    # the rule: each distinct series counts 2*(N + 2) operations, with N
+    # planned 30 digits past the target by the oracle's linear scan, and the
+    # guard is ceil(log10(count)) + 10 digits
+    terms = functools.cache(oracles.brute_terms_needed)
+
+    def expected(raw_series, target):
+        ops = sum(2 * (terms(*raw, target + 30) + 2) for raw in set(raw_series))
+        decades = 0
+        while 10**decades < ops:
+            decades += 1
+        return PrecisionContext(target, decades + 10)
+
+    every_series = [raw for raw_series in RAW_ROUTES.values() for raw in raw_series]
+    for target in (*range(1, 601), 1000, 2000, 5000):
+        for formula_id, raw_series in RAW_ROUTES.items():
+            assert context_for_formula(formula_id, target) == expected(raw_series, target)
+        for case_id, raw_series in RAW_CASES.items():
+            assert context_for_case(case_id, target) == expected(raw_series, target)
+        assert context_for_verify(target) == expected(every_series, target)
 
 
 @pytest.mark.parametrize("digits", (10, 50, 128, 500, 2000))

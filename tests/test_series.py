@@ -443,6 +443,23 @@ def test_context_counts_each_distinct_series_once():
     assert context_for([spec, spec], 1) == context_for([spec], 1)
 
 
+@pytest.mark.parametrize(
+    "target,terms,guard", ((469, 497, 13), (470, 498, 13), (471, 499, 14))
+)
+def test_context_guard_crosses_a_decade_of_operations(target, terms, guard):
+    # ratio 1/10 over denominators k+1: one more term per probe digit here,
+    # so the three targets count 998, 1000 and 1002 operations, and only
+    # the last needs a fourth digit for the count
+    spec = SeriesSpec(1, 1, 1, 1, 10)
+    assert oracles.brute_terms_needed(*spec_fields(spec), target + 30) == terms
+    assert context_for([spec], target) == PrecisionContext(target, guard)
+
+
+def test_context_for_no_series_takes_the_guard_floor():
+    # zero operations count as one, whose guard is the 10-digit floor
+    assert context_for([], 5) == PrecisionContext(5, 10)
+
+
 # --- term ratios --------------------------------------------------------------
 
 
