@@ -9,8 +9,9 @@ else is byte-reproducible across runs.
 Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``,
 ``bench`` refuses ``--repeat`` above ``MAX_REPEAT`` and ``verify`` refuses
 ``--digits`` below 10, all before any planning, so every request has a
-bounded cost.  ``pi --fixture`` refuses an unreadable file, or one with
-fewer digits than the output, before planning too.
+bounded cost.  ``pi --fixture`` refuses an unreadable file, one that holds
+a character other than a digit, or one with fewer digits than the output,
+before planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -43,7 +44,7 @@ from .formulas import (
     verify_arctan_identity,
     verify_factorization,
 )
-from .series import CASES, CaseId, Component, series_for_case
+from .series import CaseId, Component, series_for_case
 
 DEFAULT_MAX_DIGITS = 100_000
 MAX_REPEAT = 100
@@ -78,9 +79,9 @@ def _normalize_digit_text(text: str) -> str:
 
 
 def _read_fixture(path: str, length: int) -> str:
-    """The digits of the fixture file, refused unless it has at least
-    ``length`` of them; read before any planning, so a bad file costs
-    nothing."""
+    """The digits of the fixture file, refused unless they are all ASCII
+    digits and at least ``length`` of them; read before any planning, so a
+    bad file costs nothing."""
     try:
         with open(path, encoding="utf-8") as handle:
             reference = _normalize_digit_text(handle.read())
@@ -88,6 +89,8 @@ def _read_fixture(path: str, length: int) -> str:
         _refuse(2, f"error: cannot read fixture: {exc}")
     if not reference:
         _refuse(2, f"error: fixture {path} contains no digits")
+    if bad := next((c for c in reference if c not in "0123456789"), None):
+        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
     if len(reference) < length:
         _refuse(2, f"error: fixture {path} has only {len(reference)} digits, "
                    f"output has {length}")
@@ -110,7 +113,8 @@ def _value_command(
         computed = _normalize_digit_text(value)
         if not reference.startswith(computed):
             position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
-            _refuse(1, f"fixture mismatch at digit {position + 1}: "
+            # position 0 is the integer digit
+            _refuse(1, f"fixture mismatch at digit {position} after the point: "
                        f"fixture {reference[position]!r}, computed {computed[position]!r}")
     if args.json:
         # imported on the JSON paths only: plain output never needs it
@@ -148,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides = None
     if args.inject_fault:
         # a doubled prefactor the identity check must catch
-        good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
+        good = series_for_case(CaseId.X_HALF, Component.JUPITER)
         overrides = {good: good._replace(prefactor_num=2 * good.prefactor_num)}
     identity = verify_arctan_identity(ctx, spec_overrides=overrides)
     lines = [

@@ -29,9 +29,7 @@ from fractions import Fraction
 
 from .fixedpoint import PrecisionContext
 from .series import (
-    CASES,
     CaseId,
-    CaseParams,
     Component,
     EvalResult,
     SeriesSpec,
@@ -43,7 +41,6 @@ from .series import (
 
 __all__ = [
     "PiFormulaId",
-    "PiFormula",
     "PI_FORMULAS",
     "IdentityCheck",
     "FactorizationCheck",
@@ -69,21 +66,12 @@ class PiFormulaId(enum.Enum):
     MACHIN_ORACLE = "machin"
 
 
-class PiFormula(namedtuple("PiFormula", "formula_id terms")):
-    """Pi as an integer combination of arctangents of exact rationals:
-    ``terms`` is a tuple of ``(coefficient, argument)`` pairs."""
-
-    __slots__ = ()
-
-
-PI_FORMULAS: dict[PiFormulaId, PiFormula] = {
-    PiFormulaId.CASE1: PiFormula(PiFormulaId.CASE1, ((4, Fraction(1, 1)),)),
-    PiFormulaId.COMBINED: PiFormula(
-        PiFormulaId.COMBINED, ((8, Fraction(1, 3)), (4, Fraction(1, 7)))
-    ),
-    PiFormulaId.MACHIN_ORACLE: PiFormula(
-        PiFormulaId.MACHIN_ORACLE, ((16, Fraction(1, 5)), (-4, Fraction(1, 239)))
-    ),
+# each route's pi as an integer combination of arctangents of exact
+# rationals, as (coefficient, argument) pairs
+PI_FORMULAS: dict[PiFormulaId, tuple[tuple[int, Fraction], ...]] = {
+    PiFormulaId.CASE1: ((4, Fraction(1, 1)),),
+    PiFormulaId.COMBINED: ((8, Fraction(1, 3)), (4, Fraction(1, 7))),
+    PiFormulaId.MACHIN_ORACLE: ((16, Fraction(1, 5)), (-4, Fraction(1, 239))),
 }
 
 # 2*arctan(1/3) + arctan(1/7) - arctan(1), which is zero
@@ -93,14 +81,11 @@ _IDENTITY_TERMS = ((2, Fraction(1, 3)), (1, Fraction(1, 7)), (-1, Fraction(1, 1)
 _SUN_WEIGHTS = ((Component.SATURN, 2), (Component.JUPITER, 2), (Component.MARS, 1))
 
 # the arctangent argument x/(2-x) each supported case evaluates
-_CASE_OF_ARG = {
-    Fraction(c.x_num, c.x_den) / (2 - Fraction(c.x_num, c.x_den)): c for c in CASES.values()
-}
+_CASE_OF_ARG = {Fraction(c.value) / (2 - Fraction(c.value)): c for c in CaseId}
 
 
-def _stack(case: CaseParams | CaseId, weight: int = 1) -> list[tuple[int, SeriesSpec]]:
+def _stack(case: CaseId, weight: int = 1) -> list[tuple[int, SeriesSpec]]:
     """``weight * arctan(x/(2-x))`` as the weighted three-series stack of one case."""
-    case = CASES[case] if isinstance(case, CaseId) else case
     return [
         (weight * inner, series_for_case(case, component)) for component, inner in _SUN_WEIGHTS
     ]
@@ -120,17 +105,14 @@ def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec
     return parts
 
 
-def sun(
-    case: CaseParams | CaseId | Iterable[tuple[int, CaseParams | CaseId]],
-    ctx: PrecisionContext,
-) -> EvalResult:
+def sun(case: CaseId | Iterable[tuple[int, CaseId]], ctx: PrecisionContext) -> EvalResult:
     """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for a case,
     or ``sum(weight * arctan(x/(2-x)))`` over weighted cases.
 
     All the series of all the cases go to :func:`eval_series` as one stack,
     so the cases of a pi route share one pass over their denominators.
     """
-    cases = [(1, case)] if isinstance(case, (CaseParams, CaseId)) else case
+    cases = [(1, case)] if isinstance(case, CaseId) else case
     return eval_series([part for weight, c in cases for part in _stack(c, weight)], ctx)
 
 
@@ -203,7 +185,7 @@ def _folded(weight: int, spec: SeriesSpec) -> SeriesSpec:
 def combined_series_specs() -> tuple[SeriesSpec, ...]:
     """The six series whose plain sum is pi: the x=1/2 stack scaled by 8 and
     the x=1/4 stack scaled by 4, component weights folded into prefactors."""
-    return tuple(_folded(*part) for part in _series(PI_FORMULAS[PiFormulaId.COMBINED].terms))
+    return tuple(_folded(*part) for part in _series(PI_FORMULAS[PiFormulaId.COMBINED]))
 
 
 def compute_pi(formula_id: PiFormulaId, ctx: PrecisionContext) -> EvalResult:
@@ -214,7 +196,7 @@ def compute_pi(formula_id: PiFormulaId, ctx: PrecisionContext) -> EvalResult:
     Machin route uses plain ``arctan(1/n)`` series so agreement between the
     routes is meaningful.
     """
-    terms = PI_FORMULAS[formula_id].terms
+    terms = PI_FORMULAS[formula_id]
     if all(arg in _CASE_OF_ARG for _, arg in terms):
         return sun([(coeff, _CASE_OF_ARG[arg]) for coeff, arg in terms], ctx)
     return eval_series(_series(terms), ctx)
@@ -295,19 +277,19 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
             notes="rate model only; irrational terms - not evaluated",
         ),
     ]
-    for case in CASES.values():
+    for arg, case in _CASE_OF_ARG.items():
         spec = _folded(*_stack(case)[0])  # the doubled SATURN series leads
         rows.append(
             ComparisonRow(
-                method=f"euler_{case.case_id.name.lower()}",
+                method=f"euler_{case.name.lower()}",
                 ratio=f"1/{spec.q_den}",
                 terms_per_digit=1 / math.log10(spec.q_den),
                 terms_for_target=terms_needed(spec, t),
                 symbolic_terms=None,
-                notes=f"leading series of the {case.target_description} assembly",
+                notes=f"leading series of the arctan({arg}) assembly",
             )
         )
-    machin = [spec for _, spec in _series(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE].terms)]
+    machin = [spec for _, spec in _series(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE])]
     rows.append(
         ComparisonRow(
             method="machin",
@@ -325,19 +307,19 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 # precision planning helpers
 
 
-def context_for_case(case: CaseParams | CaseId, target_digits: int) -> PrecisionContext:
+def context_for_case(case: CaseId, target_digits: int) -> PrecisionContext:
     """Context sized for one arctangent assembly."""
     return context_for((spec for _, spec in _stack(case)), target_digits)
 
 
 def context_for_formula(formula_id: PiFormulaId, target_digits: int) -> PrecisionContext:
     """Context sized for one pi route at one digit target."""
-    return context_for((spec for _, spec in _series(PI_FORMULAS[formula_id].terms)), target_digits)
+    return context_for((spec for _, spec in _series(PI_FORMULAS[formula_id])), target_digits)
 
 
 def context_for_verify(target_digits: int) -> PrecisionContext:
     """Context wide enough for the identity and all cross-route checks: the
     identity's series are all among those of the ``case1`` and ``combined``
     routes, so planning the routes plans it too."""
-    terms = [term for formula in PI_FORMULAS.values() for term in formula.terms]
+    terms = [term for terms in PI_FORMULAS.values() for term in terms]
     return context_for((spec for _, spec in _series(terms)), target_digits)

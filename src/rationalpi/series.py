@@ -80,10 +80,8 @@ from .fixedpoint import (
 __all__ = [
     "Component",
     "CaseId",
-    "CaseParams",
     "SeriesSpec",
     "EvalResult",
-    "CASES",
     "series_for_case",
     "terms_needed",
     "eval_series",
@@ -104,7 +102,8 @@ class Component(enum.Enum):
 
 
 class CaseId(enum.Enum):
-    """Supported series arguments x."""
+    """Supported series arguments x, each valued as x itself: the ratio
+    ``q = x^4/4`` and the target ``arctan(x/(2-x))`` follow from it."""
 
     X1 = "1"
     X_HALF = "1/2"
@@ -141,27 +140,6 @@ class SeriesSpec(
         return self.prefactor / (self.q_den**k * self.denominator(k))
 
 
-class CaseParams(
-    _Checked, namedtuple("CaseParams", "case_id x_num x_den q_den target_description")
-):
-    """One supported argument x with its ratio denominator and target;
-    validated on construction, ``_replace`` included."""
-
-    __slots__ = ()
-
-    def __new__(cls, case_id: CaseId, x_num: int, x_den: int, q_den: int, target_description: str):
-        # q = x^4/4 exactly
-        if q_den * x_num**4 != 4 * x_den**4:
-            raise ValueError("q_den inconsistent with x^4/4")
-        return super().__new__(cls, case_id, x_num, x_den, q_den, target_description)
-
-
-CASES: dict[CaseId, CaseParams] = {
-    CaseId.X1: CaseParams(CaseId.X1, 1, 1, 4, "arctan(1)"),
-    CaseId.X_HALF: CaseParams(CaseId.X_HALF, 1, 2, 64, "arctan(1/3)"),
-    CaseId.X_QUARTER: CaseParams(CaseId.X_QUARTER, 1, 4, 1024, "arctan(1/7)"),
-}
-
 # prefactor as a function of x, and the denominator progression (offset, step)
 _COMPONENT_SHAPE = {
     Component.SATURN: (lambda x: x / 4, 1, 4),
@@ -170,16 +148,18 @@ _COMPONENT_SHAPE = {
 }
 
 
-def series_for_case(case: CaseParams, component: Component) -> SeriesSpec:
-    """Instantiate one component series for one argument.
+def series_for_case(case: CaseId, component: Component) -> SeriesSpec:
+    """Instantiate one component series for one argument, with ratio
+    ``x^4/4``: ``q_den`` is 4, 64 and 1024 for x = 1, 1/2, 1/4.
 
     SATURN: prefactor x/4, denominators 1, 5, 9, 13, ...
     JUPITER: prefactor x^2/8, denominators 1, 3, 5, 7, ...
     MARS: prefactor x^3/4, denominators 3, 7, 11, 15, ...
     """
     prefactor_of, offset, step = _COMPONENT_SHAPE[component]
-    pref = prefactor_of(Fraction(case.x_num, case.x_den))
-    return SeriesSpec(pref.numerator, pref.denominator, offset, step, case.q_den)
+    x = Fraction(case.value)
+    pref = prefactor_of(x)
+    return SeriesSpec(pref.numerator, pref.denominator, offset, step, int(4 / x**4))
 
 
 class EvalResult(

@@ -15,7 +15,7 @@ from rationalpi.formulas import (
     verify_arctan_identity,
 )
 from rationalpi.series import (
-    CASES,
+    CaseId,
     Component,
     SeriesSpec,
     consecutive_term_ratio,
@@ -83,12 +83,12 @@ def test_criterion_2_identity_suite(capsys):
 def test_criterion_3_decomposition_vs_oracle():
     worst = Fraction(0)
     ok = True
-    for case in CASES.values():
+    for case in CaseId:
         ctx = context_for_case(case, 50)
         result = sun(case, ctx)
         value = result.value.as_fraction()
         allowance = Fraction(result.error_ulps, 10**ctx.scale)
-        lo, hi = oracles.case_target_bracket(case.case_id.value, ctx.scale)
+        lo, hi = oracles.case_target_bracket(case.value, ctx.scale)
         ok &= value - allowance <= lo and hi <= value + allowance
         worst = max(worst, abs(value - (lo + hi) / 2) / allowance)
     _verdict(
@@ -102,7 +102,7 @@ def test_criterion_3_decomposition_vs_oracle():
 def test_criterion_4_ratio_law():
     checked = 0
     ok = True
-    for case in CASES.values():
+    for case in CaseId:
         for component in Component:
             spec = series_for_case(case, component)
             fields = (spec.prefactor_num, spec.prefactor_den, spec.offset, spec.step, spec.q_den)
@@ -191,13 +191,13 @@ def test_criterion_7_misprint_regression():
         Component.MARS: [3, 7, 11, 15, 19],
     }
     ok = True
-    for case in CASES.values():
+    for case in CaseId:
         for component, expected in progressions.items():
             spec = series_for_case(case, component)
             ok &= [spec.denominator(k) for k in range(5)] == expected
     # the two documented transcription slips, pinned so a "fix" back to the
     # misprinted coefficients fails here
-    saturn = series_for_case(CASES[list(CASES)[0]], Component.SATURN)
+    saturn = series_for_case(list(CaseId)[0], Component.SATURN)
     ok &= saturn.denominator(3) == 13 and saturn.denominator(3) != 3
     sixth = combined_series_specs()[5]
     ok &= sixth.offset == 3 and sixth.offset != 1

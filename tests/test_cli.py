@@ -163,8 +163,10 @@ def test_verify_minimum_refuses_before_planning(planning_blocked, capsys):
         (None, "error: cannot read fixture: [Errno 2] No such file or directory: '{path}'"),
         ("# no digits here\n", "error: fixture {path} contains no digits"),
         ("3.14\n", "error: fixture {path} has only 3 digits, output has 20001"),
+        # long enough for the length check, but no digits to compare with
+        ("x" * 20001, "error: fixture {path} holds the non-digit 'x'"),
     ),
-    ids=("missing", "no-digits", "too-short"),
+    ids=("missing", "no-digits", "too-short", "non-digit"),
 )
 def test_fixture_refuses_before_planning(text, message, tmp_path, planning_blocked, capsys):
     path = tmp_path / "ref.txt"
@@ -446,6 +448,45 @@ def test_compare_json_rows(capsys):
     assert payload["rows"][0]["terms_for_target"] is None
 
 
+# the whole compare --digits 128 output of each format, bytes as printed:
+# pins the table layout and the notes column, whose euler_* targets are
+# derived from each case's x
+GOLDEN_COMPARE_128 = {
+    "table": (
+        "method           ratio           terms_per_digit  terms_for_target  notes\n"
+        "leibniz          ->1             -                ~5e127            alternating remainder 1/(2N); needs > 10^127 terms; not evaluated\n"
+        "sharp_model      1/3             ~2.096           263               rate model only; irrational terms - not evaluated\n"
+        "euler_x1         1/4             ~1.661           208               leading series of the arctan(1) assembly\n"
+        "euler_x_half     1/64            ~0.554           70                leading series of the arctan(1/3) assembly\n"
+        "euler_x_quarter  1/1024          ~0.332           42                leading series of the arctan(1/7) assembly\n"
+        "machin           1/25 & 1/57121  ~0.715           117               16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
+    ),
+    "csv": (
+        "method,ratio,terms_per_digit,terms_for_target,notes\n"
+        "leibniz,->1,-,~5e127,alternating remainder 1/(2N); needs > 10^127 terms; not evaluated\n"
+        "sharp_model,1/3,~2.096,263,rate model only; irrational terms - not evaluated\n"
+        "euler_x1,1/4,~1.661,208,leading series of the arctan(1) assembly\n"
+        "euler_x_half,1/64,~0.554,70,leading series of the arctan(1/3) assembly\n"
+        "euler_x_quarter,1/1024,~0.332,42,leading series of the arctan(1/7) assembly\n"
+        "machin,1/25 & 1/57121,~0.715,117,16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
+    ),
+    "json": (
+        '{"schema": 1, "target_digits": 128, "rows": [{"method": "leibniz", "ratio": "->1", "terms_per_digit": null, "terms_for_target": null, "symbolic_terms": "~5e127", "notes": "alternating remainder 1/(2N); needs > 10^127 terms; not evaluated"}, '
+        '{"method": "sharp_model", "ratio": "1/3", "terms_per_digit": 2.095903274289385, "terms_for_target": 263, "symbolic_terms": null, "notes": "rate model only; irrational terms - not evaluated"}, '
+        '{"method": "euler_x1", "ratio": "1/4", "terms_per_digit": 1.660964047443681, "terms_for_target": 208, "symbolic_terms": null, "notes": "leading series of the arctan(1) assembly"}, '
+        '{"method": "euler_x_half", "ratio": "1/64", "terms_per_digit": 0.5536546824812271, "terms_for_target": 70, "symbolic_terms": null, "notes": "leading series of the arctan(1/3) assembly"}, '
+        '{"method": "euler_x_quarter", "ratio": "1/1024", "terms_per_digit": 0.3321928094887362, "terms_for_target": 42, "symbolic_terms": null, "notes": "leading series of the arctan(1/7) assembly"}, '
+        '{"method": "machin", "ratio": "1/25 & 1/57121", "terms_per_digit": 0.7153382790366964, "terms_for_target": 117, "symbolic_terms": null, "notes": "16*arctan(1/5) - 4*arctan(1/239); terms summed over both series"}]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(GOLDEN_COMPARE_128))
+def test_compare_golden(fmt, capsys):
+    code, out, _ = run_cli(["compare", "--digits", "128", "--format", fmt], capsys)
+    assert (code, out) == (0, GOLDEN_COMPARE_128[fmt])
+
+
 # --- fixtures ---------------------------------------------------------------------
 
 
@@ -463,9 +504,11 @@ def test_fixture_match(tmp_path, capsys):
 def test_fixture_mismatch_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("3.15\n")
-    code, _, err = run_cli(["pi", "--digits", "2", "--fixture", str(path)], capsys)
-    assert code == 1
-    assert "mismatch" in err
+    code, out, err = run_cli(["pi", "--digits", "2", "--fixture", str(path)], capsys)
+    # counted after the point, as bench counts a route disagreement
+    assert (code, out, err) == (
+        1, "", "fixture mismatch at digit 2 after the point: fixture '5', computed '4'\n"
+    )
 
 
 def test_fixture_too_short_is_an_argument_error(tmp_path, capsys):

@@ -24,7 +24,7 @@ from rationalpi.formulas import (
     verify_arctan_identity,
     verify_factorization,
 )
-from rationalpi.series import CASES, CaseId, Component, SeriesSpec, series_for_case
+from rationalpi.series import CaseId, Component, SeriesSpec, series_for_case
 
 import oracles
 
@@ -55,12 +55,12 @@ def test_sun_digits_against_oracle(case_key):
 
 @pytest.mark.parametrize("digits", (10, 50))
 def test_sun_value_within_error_of_true_arctan(digits):
-    for case in CASES.values():
+    for case in CaseId:
         ctx = context_for_case(case, digits)
         result = sun(case, ctx)
         value = result.value.as_fraction()
         allowance = Fraction(result.error_ulps, 10**ctx.scale)
-        lo, hi = oracles.case_target_bracket(case.case_id.value, ctx.scale)
+        lo, hi = oracles.case_target_bracket(case.value, ctx.scale)
         assert value - allowance <= lo and hi <= value + allowance
 
 
@@ -75,7 +75,7 @@ def test_arctan_identity_passes(digits):
 
 
 def test_arctan_identity_fault_injection_fails_loudly():
-    good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
+    good = series_for_case(CaseId.X_HALF, Component.JUPITER)
     bad = SeriesSpec(
         2 * good.prefactor_num, good.prefactor_den, good.offset, good.step, good.q_den
     )
@@ -102,9 +102,9 @@ def test_factorization_fault_injection():
 
 def test_pi_formula_registry_values_are_pi():
     pi_lo, pi_hi = oracles.pi_bracket(60)
-    for formula in PI_FORMULAS.values():
+    for terms in PI_FORMULAS.values():
         lo = hi = Fraction(0)
-        for coeff, arg in formula.terms:
+        for coeff, arg in terms:
             if arg == 1:
                 arg_lo, arg_hi = oracles.atan_one_bracket(60)
             else:
@@ -171,7 +171,7 @@ def test_cross_formula_agreement(digits):
 def test_verify_context_is_sized_by_the_distinct_series(digits):
     # the identity's nine series are those of case1 and combined, so verify
     # plans the eleven distinct series of the three routes, each once
-    cases = [series_for_case(case, part) for case in CASES.values() for part in Component]
+    cases = [series_for_case(case, part) for case in CaseId for part in Component]
     machin = [arctan_recip_spec(5), arctan_recip_spec(239)]
     assert context_for_verify(digits) == series.context_for(cases + machin, digits)
 
@@ -322,7 +322,7 @@ def test_identity_check_equals_plain_integer_floor_sums(digits, fault):
     stack += paper_stack(4, 1) + paper_stack(1, -1)
     overrides = None
     if fault:
-        good = series_for_case(CASES[CaseId.X_HALF], Component.JUPITER)
+        good = series_for_case(CaseId.X_HALF, Component.JUPITER)
         overrides = {good: SeriesSpec(2, good.prefactor_den, good.offset, good.step, good.q_den)}
     ctx = context_for_verify(digits)
     check = verify_arctan_identity(ctx, spec_overrides=overrides)
@@ -402,7 +402,7 @@ def test_evaluation_holds_a_few_working_size_integers(route):
 
 
 def test_misprint_guard_saturn_fourth_denominator():
-    for case in CASES.values():
+    for case in CaseId:
         saturn = series_for_case(case, Component.SATURN)
         denominators = [saturn.denominator(k) for k in range(5)]
         assert denominators == [1, 5, 9, 13, 17]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rationalpi import series
+from rationalpi import formulas, series
 from rationalpi.fixedpoint import (
     ErrorLedger,
     FixedPoint,
@@ -15,9 +15,7 @@ from rationalpi.fixedpoint import (
     fx_to_decimal_string,
 )
 from rationalpi.series import (
-    CASES,
     CaseId,
-    CaseParams,
     Component,
     SeriesSpec,
     consecutive_term_ratio,
@@ -30,7 +28,7 @@ from rationalpi.series import (
 import oracles
 
 
-ALL_CASES = tuple(CASES.values())
+ALL_CASES = tuple(CaseId)
 ALL_COMPONENTS = (Component.SATURN, Component.JUPITER, Component.MARS)
 
 
@@ -65,22 +63,21 @@ EXPECTED_SPECS = {
 
 def test_series_for_case_full_table():
     for (case_id, component), expected in EXPECTED_SPECS.items():
-        spec = series_for_case(CASES[case_id], component)
+        spec = series_for_case(case_id, component)
         assert spec_fields(spec) == expected, (case_id, component)
 
 
 def test_case_registry():
-    assert CASES[CaseId.X1].target_description == "arctan(1)"
-    assert CASES[CaseId.X_HALF].target_description == "arctan(1/3)"
-    assert CASES[CaseId.X_QUARTER].target_description == "arctan(1/7)"
-    # ratio is x^4/4 exactly
-    for case in ALL_CASES:
-        assert case.q_den * case.x_num**4 == 4 * case.x_den**4
-
-
-def test_case_params_ratio_invariant_enforced():
-    with pytest.raises(ValueError):
-        CaseParams(CaseId.X1, 1, 1, 8, "arctan(1)")
+    # a case is its x: the ratio x^4/4 and the target arctan(x/(2-x)) are
+    # derived from the CaseId value
+    expected = {
+        CaseId.X1: (4, Fraction(1)),
+        CaseId.X_HALF: (64, Fraction(1, 3)),
+        CaseId.X_QUARTER: (1024, Fraction(1, 7)),
+    }
+    for case, (q_den, _) in expected.items():
+        assert {series_for_case(case, c).q_den for c in ALL_COMPONENTS} == {q_den}, case
+    assert formulas._CASE_OF_ARG == {arg: case for case, (_, arg) in expected.items()}
 
 
 def test_series_spec_validation():
@@ -101,8 +98,10 @@ VALIDATED_EDITS = (
     (SeriesSpec(1, 4, 1, 4, 4), "offset", 0),
     (SeriesSpec(1, 4, 1, 4, 4), "step", 0),
     (SeriesSpec(1, 4, 1, 4, 4), "q_den", 1),
-    (CASES[CaseId.X_HALF], "q_den", 8),
-    (CASES[CaseId.X_HALF], "x_den", 1),
+    # the spec a case derives, with the field the verify fault edits; the
+    # two rows also keep the numbering, so later rows keep their ids
+    (series_for_case(CaseId.X_HALF, Component.JUPITER), "q_den", 1),
+    (series_for_case(CaseId.X_HALF, Component.JUPITER), "prefactor_num", 0),
     (PrecisionContext(50, 10), "target_digits", 0),
     (PrecisionContext(50, 10), "guard_digits", 9),
     (FixedPoint(1, 5, 4), "sign", 2),
@@ -134,7 +133,7 @@ def test_replace_runs_the_constructor_checks(record, field, bad):
 def test_records_copy_and_pickle_to_equal_records(duplicate):
     ctx = PrecisionContext(20, 10)
     spec = SeriesSpec(1, 4, 1, 4, 4)
-    records = (spec, CASES[CaseId.X_QUARTER], ctx, eval_series(spec, ctx), FixedPoint(-1, 5, 4),
+    records = (spec, CaseId.X_QUARTER, ctx, eval_series(spec, ctx), FixedPoint(-1, 5, 4),
                ErrorLedger(3))
     for record in records:
         twin = duplicate(record)
@@ -189,7 +188,7 @@ def test_eval_single_surviving_term():
 
 def test_eval_jupiter_x1_closed_form_digits():
     # equals arctan(1/2)/4; reference digits from the exact-rational oracle
-    spec = series_for_case(CASES[CaseId.X1], Component.JUPITER)
+    spec = series_for_case(CaseId.X1, Component.JUPITER)
     result = eval_series(spec, context_for([spec], 30))
     digits = fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), 30)
     assert digits == "0.115911902250201529053564057865"
@@ -400,7 +399,7 @@ def test_alternating_remainder_bounded_by_first_omitted_term():
 
 def test_eval_error_budget_stays_modest():
     # two divisions per term plus the remainder charge
-    spec = series_for_case(CASES[CaseId.X1], Component.SATURN)
+    spec = series_for_case(CaseId.X1, Component.SATURN)
     ctx = context_for([spec], 50)
     result = eval_series(spec, ctx)
     assert result.error_ulps <= 2 * result.terms_used + 2
@@ -416,7 +415,7 @@ def test_weighted_stack_refused_from_its_certificate_before_summing(monkeypatch)
     # multiplies its 2*N + 1 ulps, and the weighted certificate covers 18
     monkeypatch.setattr(series, "_shared_pass", _no_summing)
     monkeypatch.setattr(series, "_running_power_sum", _no_summing)
-    stack = [(10**9, series_for_case(CASES[CaseId.X_HALF], Component.SATURN))]
+    stack = [(10**9, series_for_case(CaseId.X_HALF, Component.SATURN))]
     with pytest.raises(InsufficientPrecisionError) as info:
         eval_series(stack, PrecisionContext(20, 10))
     assert (info.value.requested, info.value.guaranteed) == (20, 18)
@@ -425,7 +424,7 @@ def test_weighted_stack_refused_from_its_certificate_before_summing(monkeypatch)
 @pytest.mark.parametrize("weight", (1, 7, 10**3, 10**6, 10**9, 10**12))
 @pytest.mark.parametrize("target", (5, 20, 60))
 def test_result_certifies_its_target_or_is_refused(weight, target):
-    specs = [series_for_case(CASES[CaseId.X1], component) for component in ALL_COMPONENTS]
+    specs = [series_for_case(CaseId.X1, component) for component in ALL_COMPONENTS]
     ctx = context_for(specs, target)
     try:
         result = eval_series([(weight, spec) for spec in specs], ctx)
@@ -438,7 +437,7 @@ def test_result_certifies_its_target_or_is_refused(weight, target):
 def test_context_counts_each_distinct_series_once():
     # counted twice, SATURN's operations would cross 100 at one digit and
     # raise the guard from 12 to 13 digits
-    spec = series_for_case(CASES[CaseId.X1], Component.SATURN)
+    spec = series_for_case(CaseId.X1, Component.SATURN)
     assert context_for([spec], 1).guard_digits == 12
     assert context_for([spec, spec], 1) == context_for([spec], 1)
 
