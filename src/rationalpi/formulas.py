@@ -47,7 +47,6 @@ __all__ = [
     "AgreementCheck",
     "ComparisonRow",
     "sun",
-    "verify_arctan_identity",
     "verify_factorization",
     "compute_pi",
     "compare_convergence",
@@ -73,9 +72,6 @@ PI_FORMULAS: dict[PiFormulaId, tuple[tuple[int, Fraction], ...]] = {
     PiFormulaId.COMBINED: ((8, Fraction(1, 3)), (4, Fraction(1, 7))),
     PiFormulaId.MACHIN_ORACLE: ((16, Fraction(1, 5)), (-4, Fraction(1, 239))),
 }
-
-# 2*arctan(1/3) + arctan(1/7) - arctan(1), which is zero
-_IDENTITY_TERMS = ((2, Fraction(1, 3)), (1, Fraction(1, 7)), (-1, Fraction(1, 1)))
 
 # component weights in the arctangent assembly
 _SUN_WEIGHTS = ((Component.SATURN, 2), (Component.JUPITER, 2), (Component.MARS, 1))
@@ -114,31 +110,6 @@ def sun(case: CaseId | Iterable[tuple[int, CaseId]], ctx: PrecisionContext) -> E
     """
     cases = [(1, case)] if isinstance(case, CaseId) else case
     return eval_series([part for weight, c in cases for part in _stack(c, weight)], ctx)
-
-
-class IdentityCheck(namedtuple("IdentityCheck", "passed residual_ulps bound_ulps scale")):
-    """Outcome of the arctangent identity check, in ulps at ``scale``."""
-
-    __slots__ = ()
-
-
-def verify_arctan_identity(
-    ctx: PrecisionContext,
-    *,
-    spec_overrides: Mapping[SeriesSpec, SeriesSpec] | None = None,
-) -> IdentityCheck:
-    """Check ``2*arctan(1/3) + arctan(1/7) = arctan(1)`` numerically.
-
-    Passes iff the residual of the three evaluated sides stays within the
-    combined error bound.  ``spec_overrides`` replaces the named series with
-    others, so self-tests can feed a faulty series and see the check fail.
-    """
-    overrides = spec_overrides or {}
-    parts = [(weight, overrides.get(spec, spec)) for weight, spec in _series(_IDENTITY_TERMS)]
-    residual = eval_series(parts, ctx)
-    residual_ulps = residual.value.magnitude
-    bound_ulps = residual.error_ulps
-    return IdentityCheck(residual_ulps <= bound_ulps, residual_ulps, bound_ulps, ctx.scale)
 
 
 # the quartic 4 + x^4 and its two integer quadratic factors, low order first
@@ -202,22 +173,44 @@ def compute_pi(formula_id: PiFormulaId, ctx: PrecisionContext) -> EvalResult:
     return eval_series(_series(terms), ctx)
 
 
+class IdentityCheck(namedtuple("IdentityCheck", "passed residual_ulps bound_ulps scale")):
+    """Outcome of the arctangent identity check, in ulps at ``scale``."""
+
+    __slots__ = ()
+
+
 class AgreementCheck(namedtuple("AgreementCheck", "first second passed diff_ulps bound_ulps")):
     """Pairwise cross-route agreement at one working scale."""
 
     __slots__ = ()
 
 
-def cross_formula_agreement(ctx: PrecisionContext) -> list[AgreementCheck]:
-    """Evaluate every route of :data:`PI_FORMULAS` at one scale and check
-    each pair agrees within the sum of the two error bounds."""
-    routes = [(formula_id.value, compute_pi(formula_id, ctx)) for formula_id in PI_FORMULAS]
+def cross_formula_agreement(
+    ctx: PrecisionContext, *, spec_overrides: Mapping[SeriesSpec, SeriesSpec] | None = None
+) -> tuple[IdentityCheck, list[AgreementCheck]]:
+    """Evaluate every route of :data:`PI_FORMULAS` once at one scale, check
+    each pair agrees within the sum of the two error bounds, and read the
+    identity ``2*arctan(1/3) + arctan(1/7) = arctan(1)`` off ``case1`` and
+    ``combined``: their difference is four times its left side, stored term
+    by stored term, so its residual and bound are a quarter of that pair's.
+
+    ``spec_overrides`` replaces the named series in the identity's two sides
+    only, so self-tests can feed a faulty series and see the identity fail.
+    """
+    results = {formula_id: compute_pi(formula_id, ctx) for formula_id in PI_FORMULAS}
     checks = []
-    for (name_a, a), (name_b, b) in itertools.combinations(routes, 2):
+    for (id_a, a), (id_b, b) in itertools.combinations(results.items(), 2):
         diff = abs(a.value.signed_units - b.value.signed_units)
         bound = a.error_ulps + b.error_ulps
-        checks.append(AgreementCheck(name_a, name_b, diff <= bound, diff, bound))
-    return checks
+        checks.append(AgreementCheck(id_a.value, id_b.value, diff <= bound, diff, bound))
+    case1, combined = (
+        eval_series([(w, spec_overrides.get(s, s)) for w, s in _series(PI_FORMULAS[f])], ctx)
+        if spec_overrides else results[f]
+        for f in (PiFormulaId.CASE1, PiFormulaId.COMBINED)
+    )
+    residual = abs(combined.value.signed_units - case1.value.signed_units) // 4
+    bound = (case1.error_ulps + combined.error_ulps) // 4
+    return IdentityCheck(residual <= bound, residual, bound, ctx.scale), checks
 
 
 # ---------------------------------------------------------------------------

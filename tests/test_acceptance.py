@@ -11,8 +11,8 @@ from rationalpi.formulas import (
     combined_series_specs,
     compare_convergence,
     context_for_case,
+    cross_formula_agreement,
     sun,
-    verify_arctan_identity,
 )
 from rationalpi.series import (
     CaseId,
@@ -64,7 +64,7 @@ def test_criterion_1_reproduces_128_digits(capsys):
 
 def test_criterion_2_identity_suite(capsys):
     code, _ = _run_cli(["verify", "--digits", "50"], capsys)
-    check = verify_arctan_identity(PrecisionContext(50, 10))  # scale 60
+    check = cross_formula_agreement(PrecisionContext(50, 10))[0]  # scale 60
     ok = (
         code == 0
         and check.passed

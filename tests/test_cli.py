@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -7,8 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rationalpi import cli
+from rationalpi import cli, formulas
 from rationalpi.cli import main
 from rationalpi.fixedpoint import FixedPoint
 from rationalpi.formulas import PiFormulaId
@@ -114,7 +117,7 @@ def planning_blocked(monkeypatch):
     :class:`PlanningReached`, so a test can tell a refusal made up front
     from one made after planning started."""
     for name in ("context_for_formula", "context_for_case", "context_for_verify",
-                 "compute_pi", "sun", "verify_arctan_identity", "compare_convergence"):
+                 "compute_pi", "sun", "cross_formula_agreement", "compare_convergence"):
         monkeypatch.setattr(cli, name, _refuse_to_plan)
 
 
@@ -204,6 +207,20 @@ def test_happy_paths_exit_zero(capsys):
         assert code == 0, argv
 
 
+def machin_off_by_one_unit(compute_pi):
+    """``compute_pi`` with machin off by one unit in the 30th digit: fast,
+    certified-looking, wrong."""
+
+    def faulty(formula_id, ctx):
+        result = compute_pi(formula_id, ctx)
+        if formula_id is PiFormulaId.MACHIN_ORACLE:
+            units = result.value.signed_units + 10 ** (ctx.scale - 30)
+            result = result._replace(value=FixedPoint.from_scaled(units, ctx.scale))
+        return result
+
+    return faulty
+
+
 def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
     code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
     assert code == 0 and err == ""
@@ -211,17 +228,7 @@ def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
         ["case1", "40"], ["combined", "40"], ["machin", "40"]
     ]
 
-    real = cli.compute_pi
-
-    def faulty(formula_id, ctx):
-        # machin off by one unit in the 30th digit: fast, certified-looking, wrong
-        result = real(formula_id, ctx)
-        if formula_id is PiFormulaId.MACHIN_ORACLE:
-            units = result.value.signed_units + 10 ** (ctx.scale - 30)
-            result = result._replace(value=FixedPoint.from_scaled(units, ctx.scale))
-        return result
-
-    monkeypatch.setattr(cli, "compute_pi", faulty)
+    monkeypatch.setattr(cli, "compute_pi", machin_off_by_one_unit(cli.compute_pi))
     code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
     assert code == 1
     assert out == ""
@@ -255,6 +262,88 @@ def test_verify_prints_pass_lines(capsys):
     code, out, _ = run_cli(["verify", "--digits", "50"], capsys)
     assert code == 0
     assert out == VERIFY_50
+
+
+def test_verify_sums_each_distinct_series_once(monkeypatch, capsys):
+    # the identity is read off case1 vs combined, so verify sums the eleven
+    # distinct series of the three routes; an identity pass of its own would
+    # sum the nine case series again, 20 in all
+    summed = []
+    real = formulas.eval_series
+
+    def counting(stack, ctx):
+        stack = list(stack)
+        summed.extend(stack)
+        return real(stack, ctx)
+
+    monkeypatch.setattr(formulas, "eval_series", counting)
+    assert run_cli(["verify", "--digits", "50"], capsys)[0] == 0
+    assert len(summed) == 11
+    summed.clear()
+    assert run_cli(["verify", "--digits", "50", "--inject-fault"], capsys)[0] == 1
+    assert 11 < len(summed) <= 20
+
+
+def test_verify_prints_ulps_past_int_str_cap(int_str_cap, monkeypatch, capsys):
+    # at 4400 digits a faulty residual, and a diff between disagreeing
+    # routes, have more decimal digits than the 4300-digit int/str cap
+    code, out, err = run_cli(["verify", "--digits", "4400", "--inject-fault"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS  factorization 4+x^4", "FAIL  arctan identity", "PASS  pi case1 vs combined",
+        "PASS  pi case1 vs machin", "PASS  pi combined vs machin",
+    ]
+    assert len(lines[1].split()[4]) > 4300
+
+    monkeypatch.setattr(formulas, "compute_pi", machin_off_by_one_unit(formulas.compute_pi))
+    code, out, err = run_cli(["verify", "--digits", "4400"], capsys)
+    assert (code, err) == (1, "")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        "FAIL  pi case1 vs machin", "FAIL  pi combined vs machin",
+    ]
+    assert all(len(line.split()[6]) > 4300 for line in failed)
+    assert int_str_cap() in (None, 4300)
+
+
+@st.composite
+def well_formed_argv(draw):
+    """A subcommand with valid flags, and --digits near the edges: the small
+    ones, where verify refuses below 10, and around the 4300-digit int/str cap."""
+    command = draw(st.sampled_from(("pi", "arctan", "verify", "compare", "bench")))
+    digits = draw(st.one_of(st.integers(1, 60), st.integers(4270, 4310), st.just(5000)))
+    argv = [command, "--digits", str(digits)]
+    if command == "pi":
+        argv += ["--method", draw(st.sampled_from([f.value for f in PiFormulaId]))]
+    if command == "arctan":
+        argv += ["--case", draw(st.sampled_from(("1", "1/2", "1/4")))]
+    if command in ("pi", "arctan") and draw(st.booleans()):
+        argv.append("--json")
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--inject-fault")
+    if command == "compare":
+        argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
+    if command == "bench":
+        argv += ["--repeat", "1"]
+    return argv
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=well_formed_argv())
+@example(argv=["verify", "--digits", "4290", "--inject-fault"])
+def test_well_formed_argv_exits_with_a_status(argv, int_str_cap):
+    # a request ends with 0, 1 or 2 and at most one line on stderr, never
+    # with another exception
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
 
 
 # --- determinism ------------------------------------------------------------------

@@ -21,7 +21,6 @@ from rationalpi.formulas import (
     context_for_verify,
     cross_formula_agreement,
     sun,
-    verify_arctan_identity,
     verify_factorization,
 )
 from rationalpi.series import CaseId, Component, SeriesSpec, series_for_case
@@ -69,7 +68,7 @@ def test_sun_value_within_error_of_true_arctan(digits):
 
 @pytest.mark.parametrize("digits", (10, 50))
 def test_arctan_identity_passes(digits):
-    check = verify_arctan_identity(context_for_verify(digits))
+    check = cross_formula_agreement(context_for_verify(digits))[0]
     assert check.passed
     assert check.residual_ulps <= check.bound_ulps
 
@@ -79,7 +78,7 @@ def test_arctan_identity_fault_injection_fails_loudly():
     bad = SeriesSpec(
         2 * good.prefactor_num, good.prefactor_den, good.offset, good.step, good.q_den
     )
-    check = verify_arctan_identity(context_for_verify(12), spec_overrides={good: bad})
+    check = cross_formula_agreement(context_for_verify(12), spec_overrides={good: bad})[0]
     assert not check.passed
     assert check.residual_ulps > 1000 * check.bound_ulps
 
@@ -151,7 +150,7 @@ def test_library_calls_leave_interpreter_state_alone(int_str_cap):
     before = (context.prec, context.rounding, dict(context.traps))
     result = compute_pi(PiFormulaId.COMBINED, context_for_formula(PiFormulaId.COMBINED, 5000))
     sun(CaseId.X_HALF, context_for_case(CaseId.X_HALF, 5000))
-    assert verify_arctan_identity(context_for_verify(5000)).passed
+    assert cross_formula_agreement(context_for_verify(5000))[0].passed
     assert digits_of(result, 5000).startswith("3.14159265358979")
     assert repr(result).startswith("EvalResult(value=FixedPoint(sign=1, magnitude=314159")
     assert int_str_cap() in (None, 4300)
@@ -161,7 +160,7 @@ def test_library_calls_leave_interpreter_state_alone(int_str_cap):
 
 @pytest.mark.parametrize("digits", (10, 30, 50, 128))
 def test_cross_formula_agreement(digits):
-    checks = cross_formula_agreement(context_for_verify(digits))
+    _, checks = cross_formula_agreement(context_for_verify(digits))
     assert len(checks) == 3
     for check in checks:
         assert check.passed, (check.first, check.second, check.diff_ulps, check.bound_ulps)
@@ -222,8 +221,7 @@ def test_identity_is_a_quarter_of_case1_against_combined(digits):
     # the identity's left side; both routes store the identity's series terms
     # at the same scale and weigh them exactly, so the ulps agree exactly too
     ctx = context_for_verify(digits)
-    identity = verify_arctan_identity(ctx)
-    checks = cross_formula_agreement(ctx)
+    identity, checks = cross_formula_agreement(ctx)
     (check,) = [c for c in checks if (c.first, c.second) == ("case1", "combined")]
     assert (check.diff_ulps, check.bound_ulps) == (
         4 * identity.residual_ulps,
@@ -325,7 +323,7 @@ def test_identity_check_equals_plain_integer_floor_sums(digits, fault):
         good = series_for_case(CaseId.X_HALF, Component.JUPITER)
         overrides = {good: SeriesSpec(2, good.prefactor_den, good.offset, good.step, good.q_den)}
     ctx = context_for_verify(digits)
-    check = verify_arctan_identity(ctx, spec_overrides=overrides)
+    check = cross_formula_agreement(ctx, spec_overrides=overrides)[0]
     value, certificate, _ = oracles.stack_floor_sum(stack, ctx.scale)
     assert (check.residual_ulps, check.bound_ulps) == (abs(value), certificate)
     assert check.passed == (not fault)
@@ -374,7 +372,7 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions):
 def test_every_long_division_has_a_one_digit_divisor(divisions, digits):
     for route in PiFormulaId:
         compute_pi(route, context_for_formula(route, digits))
-    verify_arctan_identity(context_for_verify(digits))
+    cross_formula_agreement(context_for_verify(digits))
     long_divisors = [m for _, m in divisions if m & (m - 1)]
     assert long_divisors
     assert max(long_divisors) < 2**sys.int_info.bits_per_digit

@@ -272,6 +272,22 @@ TWICE = [
 ]
 
 
+
+def identity_stack(jupiter_num=1):
+    """2*arctan(1/3) + arctan(1/7) - arctan(1) as one stack of the nine case
+    series, optionally with JUPITER(x=1/2) given the numerator
+    ``jupiter_num``: no command sums x = 1, 1/2 and 1/4 in one pass, so
+    these stacks keep such a pass pinned."""
+    stack = []
+    for case, weight in ((CaseId.X_HALF, 2), (CaseId.X_QUARTER, 1), (CaseId.X1, -1)):
+        for component, inner in zip(ALL_COMPONENTS, (2, 2, 1)):
+            pn, *rest = EXPECTED_SPECS[case, component]
+            if (case, component) == (CaseId.X_HALF, Component.JUPITER):
+                pn = jupiter_num
+            stack.append((weight * inner, SeriesSpec(pn, *rest)))
+    return stack
+
+
 def assert_equals_floor_sums(stack, digits):
     ctx = context_for([spec for _, spec in stack], digits)
     result = eval_series(stack, ctx)
@@ -288,6 +304,8 @@ def assert_equals_floor_sums(stack, digits):
 @settings(max_examples=100, deadline=None)
 @given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
 @example(stack=TWICE, digits=40)
+@example(stack=identity_stack(), digits=120)
+@example(stack=identity_stack(jupiter_num=2), digits=120)
 def test_stack_equals_plain_integer_floor_sums(stack, digits):
     assert_equals_floor_sums(stack, digits)
 
