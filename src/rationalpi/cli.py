@@ -21,6 +21,7 @@ device or a closed stdout).
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 import time
@@ -44,7 +45,7 @@ from .formulas import (
     sun,
     verify_factorization,
 )
-from .series import CaseId, Component, series_for_case
+from .series import CaseId
 
 DEFAULT_MAX_DIGITS = 100_000
 MAX_REPEAT = 100
@@ -73,27 +74,43 @@ def _render_digits(result: EvalResult, digits: int) -> str:
     return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
 
 
-def _normalize_digit_text(text: str) -> str:
-    kept = [line for line in text.splitlines() if not line.lstrip().startswith("#")]
-    return "".join("".join(kept).split()).replace(".", "")
-
-
 def _read_fixture(path: str, length: int) -> str:
-    """The digits of the fixture file, refused unless they are all ASCII
-    digits and at least ``length`` of them; read before any planning, so a
-    bad file costs nothing."""
+    """The first ``length`` digits of the fixture file, read before any
+    planning in bounded pieces and refused at its first non-digit outside
+    whitespace, '.' and '#' comment lines, or if it has fewer digits."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    reference, read = "", 0
+    blank, comment = True, False  # the current line: whitespace so far, a comment
     try:
-        with open(path, encoding="utf-8") as handle:
-            reference = _normalize_digit_text(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as handle:
+            while chunk := handle.readline(1 << 16):
+                read += len(chunk)
+                for piece in decoder.decode(chunk).splitlines(keepends=True):
+                    if blank and (text := piece.lstrip()):
+                        blank, comment = False, text.startswith("#")
+                    if not comment:
+                        digits = "".join(piece.split()).replace(".", "")
+                        if bad := next((c for c in digits if c not in "0123456789"), None):
+                            _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
+                        reference += digits[:length - len(reference)]
+                    if piece.splitlines() != [piece]:  # the piece ends its line
+                        blank, comment = True, False
+            decoder.decode(b"", final=True)  # raises on a truncated last character
+    except OSError as exc:
         _refuse(2, f"error: cannot read fixture: {exc}")
+    except UnicodeDecodeError as exc:
+        # the decoder counts from the bytes it was given; report the
+        # position in the file, as decoding the whole file at once does
+        at = read - len(exc.object) + exc.start
+        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}"
+                 if exc.end == exc.start + 1 else
+                 f"bytes in position {at}-{at + exc.end - exc.start - 1}")
+        _refuse(2, f"error: cannot read fixture: '{exc.encoding}' codec can't decode "
+                   f"{where}: {exc.reason}")
     if not reference:
         _refuse(2, f"error: fixture {path} contains no digits")
-    if bad := next((c for c in reference if c not in "0123456789"), None):
-        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
     if len(reference) < length:
-        _refuse(2, f"error: fixture {path} has only {len(reference)} digits, "
-                   f"output has {length}")
+        _refuse(2, f"error: fixture {path} has only {len(reference)} digits, output has {length}")
     return reference
 
 
@@ -110,7 +127,7 @@ def _value_command(
     value = _render_digits(result, args.digits)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     if reference is not None:
-        computed = _normalize_digit_text(value)
+        computed = value.replace(".", "")
         if not reference.startswith(computed):
             position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
             # position 0 is the integer digit
@@ -149,12 +166,7 @@ def cmd_arctan(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     ctx = context_for_verify(args.digits)
     factorization = verify_factorization()
-    overrides = None
-    if args.inject_fault:
-        # a doubled prefactor the identity check must catch
-        good = series_for_case(CaseId.X_HALF, Component.JUPITER)
-        overrides = {good: good._replace(prefactor_num=2 * good.prefactor_num)}
-    identity, agreements = cross_formula_agreement(ctx, spec_overrides=overrides)
+    identity, agreements = cross_formula_agreement(ctx)
     # Decimal prints ulp counts past the interpreter's int-to-str digit cap
     lines = [
         ("factorization 4+x^4", factorization.passed,
@@ -268,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
     p_ver.add_argument("--digits", type=_positive_int, default=50,
                        help="working digit target, at least 10 (default: 50)")
-    p_ver.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")

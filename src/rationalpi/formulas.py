@@ -24,7 +24,7 @@ import enum
 import itertools
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .fixedpoint import PrecisionContext
@@ -125,15 +125,12 @@ class FactorizationCheck(namedtuple("FactorizationCheck", "passed coefficients")
     __slots__ = ()
 
 
-def verify_factorization(
-    factor_a: tuple[int, ...] = QUARTIC_FACTOR_A,
-    factor_b: tuple[int, ...] = QUARTIC_FACTOR_B,
-) -> FactorizationCheck:
+def verify_factorization() -> FactorizationCheck:
     """Expand the two quadratic factors by integer convolution and compare
-    against ``4 + x^4``.  Alternate factors may be passed to fault-test."""
-    coeffs = [0] * (len(factor_a) + len(factor_b) - 1)
-    for i, a in enumerate(factor_a):
-        for j, b in enumerate(factor_b):
+    against ``4 + x^4``."""
+    coeffs = [0] * (len(QUARTIC_FACTOR_A) + len(QUARTIC_FACTOR_B) - 1)
+    for i, a in enumerate(QUARTIC_FACTOR_A):
+        for j, b in enumerate(QUARTIC_FACTOR_B):
             coeffs[i + j] += a * b
     result = tuple(coeffs)
     return FactorizationCheck(result == QUARTIC_COEFFS, result)
@@ -185,17 +182,12 @@ class AgreementCheck(namedtuple("AgreementCheck", "first second passed diff_ulps
     __slots__ = ()
 
 
-def cross_formula_agreement(
-    ctx: PrecisionContext, *, spec_overrides: Mapping[SeriesSpec, SeriesSpec] | None = None
-) -> tuple[IdentityCheck, list[AgreementCheck]]:
+def cross_formula_agreement(ctx: PrecisionContext) -> tuple[IdentityCheck, list[AgreementCheck]]:
     """Evaluate every route of :data:`PI_FORMULAS` once at one scale, check
     each pair agrees within the sum of the two error bounds, and read the
     identity ``2*arctan(1/3) + arctan(1/7) = arctan(1)`` off ``case1`` and
     ``combined``: their difference is four times its left side, stored term
     by stored term, so its residual and bound are a quarter of that pair's.
-
-    ``spec_overrides`` replaces the named series in the identity's two sides
-    only, so self-tests can feed a faulty series and see the identity fail.
     """
     results = {formula_id: compute_pi(formula_id, ctx) for formula_id in PI_FORMULAS}
     checks = []
@@ -203,11 +195,7 @@ def cross_formula_agreement(
         diff = abs(a.value.signed_units - b.value.signed_units)
         bound = a.error_ulps + b.error_ulps
         checks.append(AgreementCheck(id_a.value, id_b.value, diff <= bound, diff, bound))
-    case1, combined = (
-        eval_series([(w, spec_overrides.get(s, s)) for w, s in _series(PI_FORMULAS[f])], ctx)
-        if spec_overrides else results[f]
-        for f in (PiFormulaId.CASE1, PiFormulaId.COMBINED)
-    )
+    case1, combined = results[PiFormulaId.CASE1], results[PiFormulaId.COMBINED]
     residual = abs(combined.value.signed_units - case1.value.signed_units) // 4
     bound = (case1.error_ulps + combined.error_ulps) // 4
     return IdentityCheck(residual <= bound, residual, bound, ctx.scale), checks

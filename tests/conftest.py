@@ -2,6 +2,9 @@ import sys
 
 import pytest
 
+from rationalpi import formulas
+from rationalpi.series import CaseId, Component
+
 
 @pytest.fixture
 def int_str_cap():
@@ -21,3 +24,22 @@ def int_str_cap():
         yield get_cap
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def jupiter_fault(monkeypatch):
+    """Double the prefactor numerator of the JUPITER series at x = 1/2 in
+    every stack the formulas layer builds, for one test.
+
+    The fault reaches ``arctan(1/3)``, so the ``combined`` route and the
+    identity read off it against ``case1``; ``verify`` must report it.
+    """
+    real = formulas.series_for_case
+
+    def faulty(case, component):
+        spec = real(case, component)
+        if (case, component) == (CaseId.X_HALF, Component.JUPITER):
+            spec = spec._replace(prefactor_num=2 * spec.prefactor_num)
+        return spec
+
+    monkeypatch.setattr(formulas, "series_for_case", faulty)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rationalpi import cli, formulas
 from rationalpi.cli import main
@@ -96,6 +96,8 @@ def test_pi_methods_agree_byte_for_byte(capsys):
         ["compare", "--digits", "0"],
         ["compare", "--digits", "128", "--format", "xml"],
         ["nonsense"],
+        # not an option: the tests inject the identity fault themselves
+        ["verify", "--inject-fault"],
     ),
 )
 def test_argument_errors_exit_two(argv, capsys):
@@ -184,6 +186,31 @@ def test_fixture_refuses_before_planning(text, message, tmp_path, planning_block
         main(argv)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_fixture_refuses_at_its_first_non_digit(planning_blocked, capsys):
+    # read whole, an endless file would grow until memory runs out
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", "/dev/zero"], capsys)
+    assert (code, out, err) == (2, "", "error: fixture /dev/zero holds the non-digit '\\x00'\n")
+
+
+@pytest.mark.parametrize(
+    "tail,detail",
+    (
+        (b"\xff\n", "byte 0xff in position 70002: invalid start byte"),
+        (b"\xe2\x82", "bytes in position 70002-70003: unexpected end of data"),
+    ),
+    ids=("invalid-byte", "truncated"),
+)
+def test_undecodable_fixture_names_the_file_position(tail, detail, tmp_path, capsys):
+    # past the reader's first 64 KiB piece, the position still counts from
+    # the start of the file
+    path = tmp_path / "ref.txt"
+    path.write_bytes(b"3." + b"1" * 70000 + tail)
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read fixture: 'utf-8' codec can't decode {detail}\n"
+
+
 def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rationalpi", "pi", "--digits", "10"])
     monkeypatch.setattr(sys, "stdout", None)
@@ -248,8 +275,8 @@ PASS  pi combined vs machin: diff 16 ulps <= bound 5144 ulps
 """
 
 
-def test_verify_fault_injection_exits_one(capsys):
-    code, out, _ = run_cli(["verify", "--digits", "50", "--inject-fault"], capsys)
+def test_verify_fault_injection_exits_one(jupiter_fault, capsys):
+    code, out, _ = run_cli(["verify", "--digits", "50"], capsys)
     assert code == 1
     assert out.splitlines()[1] == (
         "FAIL  arctan identity: residual "
@@ -264,10 +291,10 @@ def test_verify_prints_pass_lines(capsys):
     assert out == VERIFY_50
 
 
-def test_verify_sums_each_distinct_series_once(monkeypatch, capsys):
+def test_verify_sums_each_distinct_series_once(request, monkeypatch, capsys):
     # the identity is read off case1 vs combined, so verify sums the eleven
-    # distinct series of the three routes; an identity pass of its own would
-    # sum the nine case series again, 20 in all
+    # distinct series of the three routes, fault or not; an identity pass of
+    # its own would sum the nine case series again, 20 in all
     summed = []
     real = formulas.eval_series
 
@@ -280,22 +307,33 @@ def test_verify_sums_each_distinct_series_once(monkeypatch, capsys):
     assert run_cli(["verify", "--digits", "50"], capsys)[0] == 0
     assert len(summed) == 11
     summed.clear()
-    assert run_cli(["verify", "--digits", "50", "--inject-fault"], capsys)[0] == 1
-    assert 11 < len(summed) <= 20
+    request.getfixturevalue("jupiter_fault")
+    assert run_cli(["verify", "--digits", "50"], capsys)[0] == 1
+    assert len(summed) == 11
 
 
-def test_verify_prints_ulps_past_int_str_cap(int_str_cap, monkeypatch, capsys):
-    # at 4400 digits a faulty residual, and a diff between disagreeing
-    # routes, have more decimal digits than the 4300-digit int/str cap
-    code, out, err = run_cli(["verify", "--digits", "4400", "--inject-fault"], capsys)
+@pytest.mark.parametrize("digits", (3000, 4290, 4400, 5000))
+def test_verify_prints_ulps_past_int_str_cap(digits, jupiter_fault, int_str_cap, capsys):
+    # the fault fails the identity and both agreements with combined; from
+    # 4290 digits their residual and diffs have more decimal digits than the
+    # 4300-digit int/str cap, and a traceback there would also exit 1
+    code, out, err = run_cli(["verify", "--digits", str(digits)], capsys)
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "PASS  factorization 4+x^4", "FAIL  arctan identity", "PASS  pi case1 vs combined",
-        "PASS  pi case1 vs machin", "PASS  pi combined vs machin",
+        "PASS  factorization 4+x^4", "FAIL  arctan identity", "FAIL  pi case1 vs combined",
+        "PASS  pi case1 vs machin", "FAIL  pi combined vs machin",
     ]
-    assert len(lines[1].split()[4]) > 4300
+    assert lines[1].startswith("FAIL  arctan identity: ")
+    if digits >= 4290:
+        printed = [re.search(r"(?:residual|diff) (\d+) ulps", lines[i])[1] for i in (1, 2, 4)]
+        assert all(len(number) > 4300 for number in printed)
+    assert int_str_cap() in (None, 4300)
 
+
+def test_verify_prints_diff_ulps_past_int_str_cap(int_str_cap, monkeypatch, capsys):
+    # at 4400 digits the diff between disagreeing routes has more decimal
+    # digits than the 4300-digit int/str cap
     monkeypatch.setattr(formulas, "compute_pi", machin_off_by_one_unit(formulas.compute_pi))
     code, out, err = run_cli(["verify", "--digits", "4400"], capsys)
     assert (code, err) == (1, "")
@@ -320,8 +358,6 @@ def well_formed_argv(draw):
         argv += ["--case", draw(st.sampled_from(("1", "1/2", "1/4")))]
     if command in ("pi", "arctan") and draw(st.booleans()):
         argv.append("--json")
-    if command == "verify" and draw(st.booleans()):
-        argv.append("--inject-fault")
     if command == "compare":
         argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
     if command == "bench":
@@ -332,7 +368,6 @@ def well_formed_argv(draw):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=well_formed_argv())
-@example(argv=["verify", "--digits", "4290", "--inject-fault"])
 def test_well_formed_argv_exits_with_a_status(argv, int_str_cap):
     # a request ends with 0, 1 or 2 and at most one line on stderr, never
     # with another exception
@@ -588,6 +623,14 @@ def test_fixture_match(tmp_path, capsys):
     )
     assert code == 0
     assert out.startswith("3.14159")
+
+
+def test_fixture_comment_longer_than_a_read_piece(tmp_path, capsys):
+    # a comment line past 64 KiB is read in pieces and still skipped whole
+    path = tmp_path / "pi.txt"
+    path.write_text("  # " + "x" * 70000 + "\n3.14159 26535\n# 0000\n")
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
+    assert (code, out, err) == (0, "3.1415926535\n", "")
 
 
 def test_fixture_mismatch_exits_one(tmp_path, capsys):

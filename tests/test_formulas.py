@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rationalpi import series
+from rationalpi import formulas, series
 from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
 from rationalpi.formulas import (
     PI_FORMULAS,
@@ -23,7 +23,7 @@ from rationalpi.formulas import (
     sun,
     verify_factorization,
 )
-from rationalpi.series import CaseId, Component, SeriesSpec, series_for_case
+from rationalpi.series import CaseId, Component, series_for_case
 
 import oracles
 
@@ -73,12 +73,8 @@ def test_arctan_identity_passes(digits):
     assert check.residual_ulps <= check.bound_ulps
 
 
-def test_arctan_identity_fault_injection_fails_loudly():
-    good = series_for_case(CaseId.X_HALF, Component.JUPITER)
-    bad = SeriesSpec(
-        2 * good.prefactor_num, good.prefactor_den, good.offset, good.step, good.q_den
-    )
-    check = cross_formula_agreement(context_for_verify(12), spec_overrides={good: bad})[0]
+def test_arctan_identity_fault_injection_fails_loudly(jupiter_fault):
+    check = cross_formula_agreement(context_for_verify(12))[0]
     assert not check.passed
     assert check.residual_ulps > 1000 * check.bound_ulps
 
@@ -90,8 +86,9 @@ def test_factorization_expands_to_quartic():
     assert len(check.coefficients) == 5
 
 
-def test_factorization_fault_injection():
-    check = verify_factorization(factor_a=(2, 2, -1))
+def test_factorization_fault_injection(monkeypatch):
+    monkeypatch.setattr(formulas, "QUARTIC_FACTOR_A", (2, 2, -1))
+    check = verify_factorization()
     assert not check.passed
     assert check.coefficients != (4, 0, 0, 0, 1)
 
@@ -313,17 +310,15 @@ def test_routes_and_cases_equal_plain_integer_floor_sums(digits):
 
 @pytest.mark.parametrize("digits", ORACLE_DIGITS)
 @pytest.mark.parametrize("fault", (False, True))
-def test_identity_check_equals_plain_integer_floor_sums(digits, fault):
+def test_identity_check_equals_plain_integer_floor_sums(digits, fault, request):
     # 2*arctan(1/3) + arctan(1/7) - arctan(1), optionally with JUPITER(x=1/2)
     # given a doubled prefactor numerator
     stack = paper_stack(2, 2, jupiter_num=2 if fault else 1)
     stack += paper_stack(4, 1) + paper_stack(1, -1)
-    overrides = None
     if fault:
-        good = series_for_case(CaseId.X_HALF, Component.JUPITER)
-        overrides = {good: SeriesSpec(2, good.prefactor_den, good.offset, good.step, good.q_den)}
+        request.getfixturevalue("jupiter_fault")
     ctx = context_for_verify(digits)
-    check = cross_formula_agreement(ctx, spec_overrides=overrides)[0]
+    check = cross_formula_agreement(ctx)[0]
     value, certificate, _ = oracles.stack_floor_sum(stack, ctx.scale)
     assert (check.residual_ulps, check.bound_ulps) == (abs(value), certificate)
     assert check.passed == (not fault)
