@@ -14,8 +14,8 @@ All operands of one computation share a single scale, fixed up front by a
 there is no hidden rounding anywhere in the layer.
 
 A :class:`FixedPoint` is a named tuple with one checked constructor,
-``FixedPoint(sign, magnitude, scale)``, which ``from_int``, ``from_scaled``,
-``_replace``, copy and pickle all go through.  The private :func:`_fixed`
+``FixedPoint(sign, magnitude, scale)``, which ``from_scaled``, ``_replace``,
+copy and pickle all go through.  The private :func:`_fixed`
 skips the checks.  Only ``fx_add``, ``fx_mul_small`` and ``fx_div_small``
 use it, because they run several times per series term and their
 arithmetic on valid operands proves the invariants.
@@ -106,11 +106,6 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
         if (magnitude == 0) != (sign == 0):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
         return super().__new__(cls, sign, magnitude, scale)
-
-    @classmethod
-    def from_int(cls, n: int, scale: int) -> "FixedPoint":
-        """The integer ``n`` represented exactly at the given scale."""
-        return cls.from_scaled(n * 10**scale, scale)
 
     @classmethod
     def from_scaled(cls, units: int, scale: int) -> "FixedPoint":

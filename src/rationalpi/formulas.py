@@ -216,18 +216,12 @@ class ComparisonRow(
 
     ``terms_for_target`` is exact where the method is directly countable;
     methods reported by rate only carry a ``symbolic_terms`` estimate
-    instead (the other is None).  ``terms_per_digit`` is the asymptotic
-    ``ln 10 / ln q_den``, or None where there is no ratio.
+    instead (the other is None).  ``terms_per_digit`` is the sum of
+    ``ln 10 / ln q_den`` over the row's series, or None where there is no
+    ratio.
     """
 
     __slots__ = ()
-
-
-def _leibniz_symbolic(target_digits: int) -> str:
-    # remainder ~ 1/(2N): about 10^t / 2 terms for t digits
-    if target_digits == 1:
-        return "~5"
-    return f"~5e{target_digits - 1}"
 
 
 def compare_convergence(target_digits: int) -> list[ComparisonRow]:
@@ -235,53 +229,44 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 
     The Leibniz row is symbolic only (its count is astronomically
     infeasible); the 1/3-ratio model row counts terms for the rate but is
-    flagged as never evaluated because its terms are irrational.
+    flagged as never evaluated because its terms are irrational.  Every
+    other row is built by one rule from its series: ``terms_per_digit`` is
+    the sum of ``ln 10 / ln q_den`` over them and ``terms_for_target`` the
+    sum of their :func:`terms_needed`.
     """
     if target_digits < 1:
         raise ValueError("target_digits must be positive")
     t = target_digits
-    rows = [
-        ComparisonRow(
-            method="leibniz",
-            ratio="->1",
-            terms_per_digit=None,
-            terms_for_target=None,
-            symbolic_terms=_leibniz_symbolic(t),
-            notes=f"alternating remainder 1/(2N); needs > 10^{t - 1} terms; not evaluated",
-        ),
-        ComparisonRow(
-            method="sharp_model",
-            ratio="1/3",
-            terms_per_digit=1 / math.log10(3),
-            terms_for_target=terms_needed(SeriesSpec(1, 1, 1, 2, 3), t),
-            symbolic_terms=None,
-            notes="rate model only; irrational terms - not evaluated",
-        ),
+    methods = [
+        ("sharp_model", [SeriesSpec(1, 1, 1, 2, 3)],
+         "rate model only; irrational terms - not evaluated"),
+        # the doubled SATURN series leads each case's assembly
+        *((f"euler_{case.name.lower()}", [_folded(*_stack(case)[0])],
+           f"leading series of the arctan({arg}) assembly")
+          for arg, case in _CASE_OF_ARG.items()),
+        ("machin", [spec for _, spec in _series(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE])],
+         "16*arctan(1/5) - 4*arctan(1/239); terms summed over both series"),
     ]
-    for arg, case in _CASE_OF_ARG.items():
-        spec = _folded(*_stack(case)[0])  # the doubled SATURN series leads
-        rows.append(
-            ComparisonRow(
-                method=f"euler_{case.name.lower()}",
-                ratio=f"1/{spec.q_den}",
-                terms_per_digit=1 / math.log10(spec.q_den),
-                terms_for_target=terms_needed(spec, t),
-                symbolic_terms=None,
-                notes=f"leading series of the arctan({arg}) assembly",
-            )
-        )
-    machin = [spec for _, spec in _series(PI_FORMULAS[PiFormulaId.MACHIN_ORACLE])]
-    rows.append(
-        ComparisonRow(
-            method="machin",
-            ratio=" & ".join(f"1/{spec.q_den}" for spec in machin),
-            terms_per_digit=1 / math.log10(machin[0].q_den),
-            terms_for_target=sum(terms_needed(spec, t) for spec in machin),
-            symbolic_terms=None,
-            notes="16*arctan(1/5) - 4*arctan(1/239); terms summed over both series",
-        )
+    # Leibniz's remainder is about 1/(2N): about 10^t / 2 terms for t digits
+    leibniz = ComparisonRow(
+        method="leibniz",
+        ratio="->1",
+        terms_per_digit=None,
+        terms_for_target=None,
+        symbolic_terms="~5" if t == 1 else f"~5e{t - 1}",
+        notes=f"alternating remainder 1/(2N); needs > 10^{t - 1} terms; not evaluated",
     )
-    return rows
+    return [leibniz] + [
+        ComparisonRow(
+            method=method,
+            ratio=" & ".join(f"1/{s.q_den}" for s in specs),
+            terms_per_digit=sum(1 / math.log10(s.q_den) for s in specs),
+            terms_for_target=sum(terms_needed(s, t) for s in specs),
+            symbolic_terms=None,
+            notes=notes,
+        )
+        for method, specs, notes in methods
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,6 @@ class SeriesSpec(
         """Denominator of the k-th term, ``offset + step*k``."""
         return self.offset + self.step * k
 
-    def term_magnitude(self, k: int) -> Fraction:
-        """Exact magnitude of the k-th term."""
-        return self.prefactor / (self.q_den**k * self.denominator(k))
-
 
 # prefactor as a function of x, and the denominator progression (offset, step)
 _COMPONENT_SHAPE = {
@@ -208,12 +204,10 @@ def terms_needed(spec: SeriesSpec, target_digits: int) -> int:
     return n
 
 
-def eval_series(
-    specs: SeriesSpec | Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext
-) -> EvalResult:
+def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) -> EvalResult:
     """Evaluate ``sum(weight * series)`` at the context's working scale.
 
-    ``specs`` is a weighted stack of series; a bare spec stands for weight 1.
+    ``specs`` is a weighted stack ``[(weight, spec), ...]`` of series.
     Each series ``i`` sums its minimal ``N_i = terms_needed(spec, scale)``
     terms (at least one), and term ``k`` is stored as exactly
     ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` with
@@ -239,7 +233,7 @@ def eval_series(
     then if it certifies fewer than the context's target digits, and a
     returned result always certifies at least that many.
     """
-    stack = [(1, specs)] if isinstance(specs, SeriesSpec) else list(specs)
+    stack = list(specs)
     scale = ctx.scale
     planned = [max(1, terms_needed(spec, scale)) for _, spec in stack]
     error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
@@ -287,7 +281,8 @@ def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
     """
     limit = 1 << _DIGIT_BITS
     q = spec.q_den
-    power = fx_div_small(FixedPoint.from_int(spec.prefactor_num, scale), spec.prefactor_den)
+    # a SeriesSpec's prefactor_num is at least 1, so the magnitude is positive
+    power = fx_div_small(FixedPoint(1, spec.prefactor_num * 10**scale, scale), spec.prefactor_den)
     total = FixedPoint.from_scaled(0, scale)
     fold = 1  # q**j for the j-th term stored from the current base
     for k in range(n):
@@ -334,7 +329,7 @@ def _shared_pass(
     bits = _DIGIT_BITS
     limit = 1 << bits
     pns = {spec.prefactor_num for _, spec, _ in shared}
-    numerators = {pn: FixedPoint.from_int(pn, scale) for pn in pns}
+    numerators = {pn: FixedPoint(1, pn * 10**scale, scale) for pn in pns}
     shifted = {}  # pn -> (ex, numerator >> ex)
     group = None
     for neg_d, pn, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):

@@ -165,7 +165,7 @@ def test_criterion_6_error_ledger_soundness():
         )
         digits = rng.randrange(5, 41)
         ctx = context_for([spec], digits)
-        result = eval_series(spec, ctx)
+        result = eval_series([(1, spec)], ctx)
         partial = oracles.series_partial_sum(
             spec.prefactor_num,
             spec.prefactor_den,

@@ -583,7 +583,7 @@ GOLDEN_COMPARE_128 = {
         "euler_x1         1/4             ~1.661           208               leading series of the arctan(1) assembly\n"
         "euler_x_half     1/64            ~0.554           70                leading series of the arctan(1/3) assembly\n"
         "euler_x_quarter  1/1024          ~0.332           42                leading series of the arctan(1/7) assembly\n"
-        "machin           1/25 & 1/57121  ~0.715           117               16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
+        "machin           1/25 & 1/57121  ~0.926           117               16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
     ),
     "csv": (
         "method,ratio,terms_per_digit,terms_for_target,notes\n"
@@ -592,7 +592,7 @@ GOLDEN_COMPARE_128 = {
         "euler_x1,1/4,~1.661,208,leading series of the arctan(1) assembly\n"
         "euler_x_half,1/64,~0.554,70,leading series of the arctan(1/3) assembly\n"
         "euler_x_quarter,1/1024,~0.332,42,leading series of the arctan(1/7) assembly\n"
-        "machin,1/25 & 1/57121,~0.715,117,16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
+        "machin,1/25 & 1/57121,~0.926,117,16*arctan(1/5) - 4*arctan(1/239); terms summed over both series\n"
     ),
     "json": (
         '{"schema": 1, "target_digits": 128, "rows": [{"method": "leibniz", "ratio": "->1", "terms_per_digit": null, "terms_for_target": null, "symbolic_terms": "~5e127", "notes": "alternating remainder 1/(2N); needs > 10^127 terms; not evaluated"}, '
@@ -600,7 +600,7 @@ GOLDEN_COMPARE_128 = {
         '{"method": "euler_x1", "ratio": "1/4", "terms_per_digit": 1.660964047443681, "terms_for_target": 208, "symbolic_terms": null, "notes": "leading series of the arctan(1) assembly"}, '
         '{"method": "euler_x_half", "ratio": "1/64", "terms_per_digit": 0.5536546824812271, "terms_for_target": 70, "symbolic_terms": null, "notes": "leading series of the arctan(1/3) assembly"}, '
         '{"method": "euler_x_quarter", "ratio": "1/1024", "terms_per_digit": 0.3321928094887362, "terms_for_target": 42, "symbolic_terms": null, "notes": "leading series of the arctan(1/7) assembly"}, '
-        '{"method": "machin", "ratio": "1/25 & 1/57121", "terms_per_digit": 0.7153382790366964, "terms_for_target": 117, "symbolic_terms": null, "notes": "16*arctan(1/5) - 4*arctan(1/239); terms summed over both series"}]}\n'
+        '{"method": "machin", "ratio": "1/25 & 1/57121", "terms_per_digit": 0.9255638261584279, "terms_for_target": 117, "symbolic_terms": null, "notes": "16*arctan(1/5) - 4*arctan(1/239); terms summed over both series"}]}\n'
     ),
 }
 

@@ -48,7 +48,7 @@ def test_invalid_fields_rejected():
 
 def test_as_fraction_roundtrip():
     assert fp(-375, 3).as_fraction() == Fraction(-375, 1000)
-    assert FixedPoint.from_int(7, 4).as_fraction() == 7
+    assert FixedPoint.from_scaled(7 * 10**4, 4).as_fraction() == 7
 
 
 # --- object contract ----------------------------------------------------------

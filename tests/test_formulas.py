@@ -470,21 +470,26 @@ def test_compare_monotone_superiority():
 @pytest.mark.parametrize("target", (10, 50, 128))
 def test_compare_counts_consistent_with_rate_column(target):
     # the exact integer count agrees with the log-model prediction built
-    # from the same ratio, within two terms
+    # from the same ratios, within two terms, and the rate column is the
+    # rate of all the row's series: Machin's two are each counted once
     specs = {
-        "sharp_model": (1, 1, 1, 2, 3),
-        "euler_x1": (1, 2, 1, 4, 4),
-        "euler_x_half": (1, 4, 1, 4, 64),
-        "euler_x_quarter": (1, 8, 1, 4, 1024),
+        "sharp_model": [(1, 1, 1, 2, 3)],
+        "euler_x1": [(1, 2, 1, 4, 4)],
+        "euler_x_half": [(1, 4, 1, 4, 64)],
+        "euler_x_quarter": [(1, 8, 1, 4, 1024)],
+        "machin": [(1, 5, 1, 2, 25), (1, 239, 1, 2, 57121)],
     }
     rows = {r.method: r for r in compare_convergence(target)}
-    for method, (pn, pd, offset, step, q_den) in specs.items():
-        n = rows[method].terms_for_target
-        predicted = (
-            target + math.log10(pn / pd) - math.log10(offset + step * n)
-        ) / math.log10(q_den)
-        assert abs(n - predicted) <= 2
-        assert rows[method].terms_per_digit == pytest.approx(1 / math.log10(q_den))
+    for method, series_fields in specs.items():
+        predicted = rate = 0
+        for pn, pd, offset, step, q_den in series_fields:
+            n = oracles.brute_terms_needed(pn, pd, offset, step, q_den, target)
+            predicted += (
+                target + math.log10(pn / pd) - math.log10(offset + step * n)
+            ) / math.log10(q_den)
+            rate += 1 / math.log10(q_den)
+        assert abs(rows[method].terms_for_target - predicted) <= 2
+        assert rows[method].terms_per_digit == pytest.approx(rate)
 
 
 def test_machin_row_is_sum_of_both_series():
