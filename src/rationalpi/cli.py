@@ -6,12 +6,11 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS``,
-``bench`` refuses ``--repeat`` above ``MAX_REPEAT`` and ``verify`` refuses
-``--digits`` below 10, all before any planning, so every request has a
-bounded cost.  ``pi --fixture`` refuses an unreadable file, one that holds
-a character other than a digit, or one with fewer digits than the output,
-before planning too.
+Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS`` and
+``bench`` refuses ``--repeat`` above ``MAX_REPEAT``, both before any
+planning, so every request has a bounded cost.  ``pi --fixture`` refuses
+an unreadable file, one that holds a character other than a digit, or one
+with fewer digits than the output, before planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
     p_ver.add_argument("--digits", type=_positive_int, default=50,
-                       help="working digit target, at least 10 (default: 50)")
+                       help="working digit target (default: 50)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")
@@ -307,8 +306,6 @@ def main(argv: list[str] | None = None) -> int:
                    f"{DEFAULT_MAX_DIGITS}")
     if args.command == "bench" and args.repeat > MAX_REPEAT:
         _refuse(2, f"error: --repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")
-    if args.command == "verify" and args.digits < 10:
-        _refuse(2, "error: verify needs --digits of at least 10")
     try:
         return args.func(args)
     except (InsufficientPrecisionError, BoundaryStraddleError) as exc:

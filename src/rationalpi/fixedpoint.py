@@ -161,20 +161,19 @@ class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits g
     """Working precision: ``target_digits`` the caller wants certified plus
     ``guard_digits`` that hold the certificate below the target's last place.
 
-    :func:`rationalpi.series.context_for` sizes the guard; ``MIN_GUARD`` is
-    the floor accepted here.  Every way of building one, ``_replace``
-    included, runs the checks.
+    :func:`rationalpi.series.context_for` sizes the guard.  Any guard of 0
+    or more is accepted here: a context too small for its target is refused
+    from the evaluator's certificate.  Every way of building one,
+    ``_replace`` included, runs the checks.
     """
 
     __slots__ = ()
 
-    MIN_GUARD = 10
-
     def __new__(cls, target_digits: int, guard_digits: int):
         if target_digits < 1:
             raise ValueError("target_digits must be positive")
-        if guard_digits < cls.MIN_GUARD:
-            raise ValueError(f"guard_digits must be at least {cls.MIN_GUARD}")
+        if guard_digits < 0:
+            raise ValueError("guard_digits must be non-negative")
         return super().__new__(cls, target_digits, guard_digits)
 
     @property

@@ -361,10 +361,10 @@ def context_for(specs: Iterable[SeriesSpec], target_digits: int) -> PrecisionCon
     Each distinct series is counted once, however often it is listed, as
     ``2 * (N + 2)`` operations, with ``N`` planned at a probe of
     ``target_digits + 30`` so the count is an overestimate, never an
-    undercount.  The guard is ``ceil(log10(ops)) + PrecisionContext.MIN_GUARD``
-    digits.  :func:`eval_series` still refuses a result whose certificate
-    covers fewer than the target digits.
+    undercount.  The guard is ``ceil(log10(ops))`` digits plus a margin of
+    10.  :func:`eval_series` still refuses a result whose certificate covers
+    fewer than the target digits.
     """
     probe = target_digits + 30
     ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in dict.fromkeys(specs))
-    return PrecisionContext(target_digits, _ceil_log10(max(ops, 1)) + PrecisionContext.MIN_GUARD)
+    return PrecisionContext(target_digits, _ceil_log10(max(ops, 1)) + 10)

@@ -92,7 +92,6 @@ def test_pi_methods_agree_byte_for_byte(capsys):
         ["pi"],
         ["arctan", "--case", "1/3", "--digits", "10"],
         ["arctan", "--digits", "10"],
-        ["verify", "--digits", "5"],
         ["compare", "--digits", "0"],
         ["compare", "--digits", "128", "--format", "xml"],
         ["nonsense"],
@@ -155,11 +154,14 @@ def test_repeat_cap_refuses_before_planning(planning_blocked, capsys):
         main(["bench", "--digits", "10", "--repeat", str(cli.MAX_REPEAT)])
 
 
-def test_verify_minimum_refuses_before_planning(planning_blocked, capsys):
-    code, out, err = run_cli(["verify", "--digits", "9"], capsys)
-    assert (code, out, err) == (2, "", "error: verify needs --digits of at least 10\n")
-    with pytest.raises(PlanningReached):
-        main(["verify", "--digits", "10"])
+@pytest.mark.parametrize("digits", range(1, 10))
+def test_verify_checks_every_digit_count(digits, capsys):
+    # verify takes every --digits the other subcommands take, and all five
+    # checks pass at the smallest ones too
+    code, out, err = run_cli(["verify", "--digits", str(digits)], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS  ") for line in lines)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +350,7 @@ def test_verify_prints_diff_ulps_past_int_str_cap(int_str_cap, monkeypatch, caps
 @st.composite
 def well_formed_argv(draw):
     """A subcommand with valid flags, and --digits near the edges: the small
-    ones, where verify refuses below 10, and around the 4300-digit int/str cap."""
+    ones and those around the 4300-digit int/str cap."""
     command = draw(st.sampled_from(("pi", "arctan", "verify", "compare", "bench")))
     digits = draw(st.one_of(st.integers(1, 60), st.integers(4270, 4310), st.just(5000)))
     argv = [command, "--digits", str(digits)]

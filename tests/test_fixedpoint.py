@@ -359,8 +359,10 @@ def test_context_scale_and_validation():
     assert ctx.scale == 60
     with pytest.raises(ValueError):
         PrecisionContext(0, 10)
+    # any guard of 0 or more builds; eval_series refuses one too small
+    PrecisionContext(50, 9)
     with pytest.raises(ValueError):
-        PrecisionContext(50, 9)
+        PrecisionContext(50, -1)
 
 
 # --- digit emission -----------------------------------------------------------

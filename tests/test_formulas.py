@@ -6,9 +6,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rationalpi import formulas, series
-from rationalpi.fixedpoint import ErrorLedger, PrecisionContext, fx_to_decimal_string
+from rationalpi.fixedpoint import (
+    BoundaryStraddleError,
+    ErrorLedger,
+    InsufficientPrecisionError,
+    PrecisionContext,
+    fx_to_decimal_string,
+)
 from rationalpi.formulas import (
     PI_FORMULAS,
     PiFormulaId,
@@ -126,6 +133,26 @@ def test_compute_pi_component_term_counts():
     assert len(compute_pi(PiFormulaId.CASE1, context_for_formula(PiFormulaId.CASE1, 20)).component_terms) == 3
     assert len(compute_pi(PiFormulaId.COMBINED, context_for_formula(PiFormulaId.COMBINED, 20)).component_terms) == 6
     assert len(compute_pi(PiFormulaId.MACHIN_ORACLE, context_for_formula(PiFormulaId.MACHIN_ORACLE, 20)).component_terms) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from([*PiFormulaId, *CaseId]),
+    target=st.integers(1, 80),
+    guard=st.integers(0, 9),
+)
+def test_small_guard_certifies_its_digits_or_is_refused(key, target, guard):
+    # no guard floor: below context_for's margin the certificate alone
+    # decides, so every rendered digit is still pi's or the arctangent's
+    if isinstance(key, PiFormulaId):
+        evaluate, bracket = compute_pi, oracles.pi_bracket(target + 10)
+    else:
+        evaluate, bracket = sun, oracles.case_target_bracket(key.value, target + 10)
+    try:
+        rendered = digits_of(evaluate(key, PrecisionContext(target, guard)), target)
+    except (InsufficientPrecisionError, BoundaryStraddleError):
+        return
+    assert rendered == oracles.truncated_digits(bracket, target)
 
 
 def test_result_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):

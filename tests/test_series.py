@@ -103,7 +103,7 @@ VALIDATED_EDITS = (
     (series_for_case(CaseId.X_HALF, Component.JUPITER), "q_den", 1),
     (series_for_case(CaseId.X_HALF, Component.JUPITER), "prefactor_num", 0),
     (PrecisionContext(50, 10), "target_digits", 0),
-    (PrecisionContext(50, 10), "guard_digits", 9),
+    (PrecisionContext(50, 10), "guard_digits", -1),
     (FixedPoint(1, 5, 4), "sign", 2),
     (FixedPoint(1, 5, 4), "magnitude", -1),
     (FixedPoint(1, 5, 4), "scale", -1),
@@ -473,7 +473,7 @@ def test_context_guard_crosses_a_decade_of_operations(target, terms, guard):
 
 
 def test_context_for_no_series_takes_the_guard_floor():
-    # zero operations count as one, whose guard is the 10-digit floor
+    # zero operations count as one, whose guard is the 10-digit margin
     assert context_for([], 5) == PrecisionContext(5, 10)
 
 
