@@ -92,6 +92,8 @@ def test_pi_methods_agree_byte_for_byte(capsys):
         ["pi"],
         ["arctan", "--case", "1/3", "--digits", "10"],
         ["arctan", "--digits", "10"],
+        # verify takes every --digits from 1 up, like the other subcommands
+        ["verify", "--digits", "0"],
         ["compare", "--digits", "0"],
         ["compare", "--digits", "128", "--format", "xml"],
         ["nonsense"],
