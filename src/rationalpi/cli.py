@@ -8,9 +8,10 @@ else is byte-reproducible across runs.
 
 Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS`` and
 ``bench`` refuses ``--repeat`` above ``MAX_REPEAT``, both before any
-planning, so every request has a bounded cost.  ``pi --fixture`` refuses
-an unreadable file, one that holds a character other than a digit, or one
-with fewer digits than the output, before planning too.
+planning, so every request has a bounded cost.  ``pi --fixture`` reads
+its file until it holds the output's digits, and refuses an unreadable
+file, one that holds a character other than a digit, or one with fewer
+digits than the output, before planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -75,8 +76,10 @@ def _render_digits(result: EvalResult, digits: int) -> str:
 
 def _read_fixture(path: str, length: int) -> str:
     """The first ``length`` digits of the fixture file, read before any
-    planning in bounded pieces and refused at its first non-digit outside
-    whitespace, '.' and '#' comment lines, or if it has fewer digits."""
+    planning in bounded pieces until it holds them, and refused at its first
+    non-digit outside whitespace, '.' and '#' comment lines, or if it has
+    fewer digits.  Nothing after the piece that completes the digits is
+    read, so an endless file is read only as far as the output needs."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     reference, read = "", 0
     blank, comment = True, False  # the current line: whitespace so far, a comment
@@ -94,7 +97,12 @@ def _read_fixture(path: str, length: int) -> str:
                         reference += digits[:length - len(reference)]
                     if piece.splitlines() != [piece]:  # the piece ends its line
                         blank, comment = True, False
-            decoder.decode(b"", final=True)  # raises on a truncated last character
+                if len(reference) == length:
+                    # the digits are all here: a character cut at this
+                    # piece's end is left undecoded, not refused
+                    break
+            else:
+                decoder.decode(b"", final=True)  # raises on a truncated last character
     except OSError as exc:
         _refuse(2, f"error: cannot read fixture: {exc}")
     except UnicodeDecodeError as exc:

@@ -14,18 +14,17 @@ All operands of one computation share a single scale, fixed up front by a
 there is no hidden rounding anywhere in the layer.
 
 A :class:`FixedPoint` is a named tuple with one checked constructor,
-``FixedPoint(sign, magnitude, scale)``, which ``from_scaled``, ``_replace``,
-copy and pickle all go through.  The private :func:`_fixed`
-skips the checks.  Only ``fx_add``, ``fx_mul_small`` and ``fx_div_small``
-use it, because they run several times per series term and their
-arithmetic on valid operands proves the invariants.
+``FixedPoint(sign, magnitude, scale)``, the one public way to build a
+value, which ``_replace``, copy and pickle all go through.  The private
+:func:`_fixed` skips the checks.  Only ``fx_add``, ``fx_mul_small`` and
+``fx_div_small`` use it, because they run several times per series term
+and their arithmetic on valid operands proves the invariants.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from decimal import Decimal
-from fractions import Fraction
 
 __all__ = [
     "FixedPoint",
@@ -78,7 +77,8 @@ class _Checked:
 class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
     """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
 
-    Zero is canonical: sign 0 and magnitude 0 together.
+    Zero is canonical: sign 0 and magnitude 0 together.  The exact value is
+    ``signed_units / 10**scale``.
 
     Every way of building one except :func:`_fixed` runs the constructor,
     which checks all four invariants (sign in {-1, 0, 1}, magnitude and
@@ -107,15 +107,6 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
         return super().__new__(cls, sign, magnitude, scale)
 
-    @classmethod
-    def from_scaled(cls, units: int, scale: int) -> "FixedPoint":
-        """Build from a signed count of ulps (``units * 10**-scale``)."""
-        if units > 0:
-            return cls(1, units, scale)
-        if units < 0:
-            return cls(-1, -units, scale)
-        return cls(0, 0, scale)
-
     def __repr__(self):
         # Decimal renders without the interpreter's int-to-str digit cap
         return (
@@ -127,10 +118,6 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
     def signed_units(self) -> int:
         # a negation, not a multiply by the sign: no limb-by-limb product
         return -self.magnitude if self.sign < 0 else self.magnitude
-
-    def as_fraction(self) -> Fraction:
-        """Exact rational value of the stored number."""
-        return Fraction(self.signed_units, 10**self.scale)
 
 
 def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:

@@ -241,7 +241,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     if guaranteed < ctx.target_digits:
         raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
 
-    sums = [FixedPoint.from_scaled(0, scale)] * len(stack)
+    sums = [FixedPoint(0, 0, scale)] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
         if _is_power_of_two(spec.prefactor_den) and _is_power_of_two(spec.q_den):
@@ -250,7 +250,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
             sums[i] = _running_power_sum(spec, n, scale)
     _shared_pass(shared, sums, scale)
 
-    total = FixedPoint.from_scaled(0, scale)
+    total = FixedPoint(0, 0, scale)
     for (weight, _), partial in zip(stack, sums):
         total = fx_add(total, fx_mul_small(partial, weight))
     return EvalResult(
@@ -283,7 +283,7 @@ def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
     q = spec.q_den
     # a SeriesSpec's prefactor_num is at least 1, so the magnitude is positive
     power = fx_div_small(FixedPoint(1, spec.prefactor_num * 10**scale, scale), spec.prefactor_den)
-    total = FixedPoint.from_scaled(0, scale)
+    total = FixedPoint(0, 0, scale)
     fold = 1  # q**j for the j-th term stored from the current base
     for k in range(n):
         d = spec.denominator(k)

@@ -11,6 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact_value(value) -> Fraction:
+    """Exact rational value of a stored fixed-point number, read from its
+    ``signed_units`` and ``scale`` alone."""
+    return Fraction(value.signed_units, 10**value.scale)
+
+
 def atan_bracket(x: Fraction, digits: int) -> tuple[Fraction, Fraction]:
     """Rigorous bracket of arctan(x) tighter than 10**-(digits+5).
 

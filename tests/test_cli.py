@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -209,10 +210,48 @@ def test_undecodable_fixture_names_the_file_position(tail, detail, tmp_path, cap
     # past the reader's first 64 KiB piece, the position still counts from
     # the start of the file
     path = tmp_path / "ref.txt"
-    path.write_bytes(b"3." + b"1" * 70000 + tail)
+    path.write_bytes(b"#" + b"x" * 70000 + b"\n" + tail)
     code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: cannot read fixture: 'utf-8' codec can't decode {detail}\n"
+
+
+class EndlessFixture(io.BytesIO):
+    """A fixture file whose reads never run dry: ``head``, then ``line``
+    forever, counting the reads."""
+
+    def __init__(self, head: bytes, line: bytes):
+        super().__init__()
+        self.lines = itertools.chain([head], itertools.repeat(line))
+        self.reads = 0
+
+    def readline(self, size=-1):
+        self.reads += 1
+        return next(self.lines)
+
+
+@pytest.mark.parametrize(
+    "head,line,reads,result",
+    (
+        # printf '3.1415926535\n'; yes 8
+        (b"3.1415926535\n", b"8\n", 1, (0, "3.1415926535\n", "")),
+        # the piece that completes the digits ends inside a no-break space,
+        # which is left undecoded instead of refused as truncated
+        (b"3.1415926535\xc2", b"\xa0\n", 1, (0, "3.1415926535\n", "")),
+        # yes 1
+        (b"1\n", b"1\n", 11,
+         (1, "", "fixture mismatch at digit 0 after the point: fixture '1', computed '3'\n")),
+    ),
+    ids=("pi-then-8s", "cut-character", "ones"),
+)
+def test_endless_fixture_of_digits_is_read_to_the_needed_digits(
+    head, line, reads, result, monkeypatch, capsys
+):
+    # read to its end, such a fixture would never return
+    handle = EndlessFixture(head, line)
+    monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
+    assert run_cli(["pi", "--digits", "10", "--fixture", "endless"], capsys) == result
+    assert handle.reads == reads
 
 
 def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
@@ -245,8 +284,9 @@ def machin_off_by_one_unit(compute_pi):
     def faulty(formula_id, ctx):
         result = compute_pi(formula_id, ctx)
         if formula_id is PiFormulaId.MACHIN_ORACLE:
-            units = result.value.signed_units + 10 ** (ctx.scale - 30)
-            result = result._replace(value=FixedPoint.from_scaled(units, ctx.scale))
+            # pi is positive, and one more unit keeps it so
+            magnitude = result.value.magnitude + 10 ** (ctx.scale - 30)
+            result = result._replace(value=FixedPoint(1, magnitude, ctx.scale))
         return result
 
     return faulty

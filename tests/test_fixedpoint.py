@@ -20,9 +20,11 @@ from rationalpi.fixedpoint import (
     guaranteed_digit_count,
 )
 
+import oracles
+
 
 def fp(units: int, scale: int) -> FixedPoint:
-    return FixedPoint.from_scaled(units, scale)
+    return FixedPoint((units > 0) - (units < 0), abs(units), scale)
 
 
 # --- construction -------------------------------------------------------------
@@ -44,11 +46,6 @@ def test_invalid_fields_rejected():
         FixedPoint(1, -1, 6)
     with pytest.raises(ValueError):
         FixedPoint(1, 1, -1)
-
-
-def test_as_fraction_roundtrip():
-    assert fp(-375, 3).as_fraction() == Fraction(-375, 1000)
-    assert FixedPoint.from_scaled(7 * 10**4, 4).as_fraction() == 7
 
 
 # --- object contract ----------------------------------------------------------
@@ -141,7 +138,7 @@ def test_mul_small_identity():
 
 def test_mul_small_by_eight_matches_rational_oracle():
     result = fx_mul_small(fp(321750, 6), 8)
-    assert result.as_fraction() == Fraction(321750, 10**6) * 8
+    assert oracles.exact_value(result) == Fraction(321750, 10**6) * 8
     assert result == fp(2574000, 6)
 
 
@@ -181,7 +178,7 @@ def test_div_error_strictly_below_one_ulp():
         a = fp(rng.randrange(-(10**12), 10**12), 9)
         m = rng.randrange(1, 1000)
         stored = fx_div_small(a, m)
-        assert abs(stored.as_fraction() - a.as_fraction() / m) < ulp
+        assert abs(oracles.exact_value(stored) - oracles.exact_value(a) / m) < ulp
 
 
 # --- arithmetic identities over random operands -------------------------------
@@ -299,17 +296,17 @@ def test_exact_ops_stay_exact():
     for _ in range(50):
         scale = rng.randrange(1, 25)
         value = fp(rng.randrange(-(10**6), 10**6), scale)
-        shadow = value.as_fraction()
+        shadow = oracles.exact_value(value)
         for _ in range(40):
             if rng.random() < 0.5:
                 other = fp(rng.randrange(-(10**6), 10**6), scale)
                 value = fx_add(value, other)
-                shadow += other.as_fraction()
+                shadow += oracles.exact_value(other)
             else:
                 m = rng.randrange(-9, 10)
                 value = fx_mul_small(value, m)
                 shadow *= m
-        assert value.as_fraction() == shadow
+        assert oracles.exact_value(value) == shadow
 
 
 def _random_walk(seed: int, ops: int, scale: int, check_every: int):
@@ -317,14 +314,14 @@ def _random_walk(seed: int, ops: int, scale: int, check_every: int):
     rng = random.Random(seed)
     ulp = Fraction(1, 10**scale)
     value = fp(rng.randrange(1, 10**scale), scale)
-    shadow = value.as_fraction()
+    shadow = oracles.exact_value(value)
     ledger = ErrorLedger()
     for step in range(ops):
         kind = rng.random()
         if kind < 0.3:
             other = fp(rng.randrange(-(10**scale), 10**scale), scale)
             value = fx_add(value, other)
-            shadow += other.as_fraction()
+            shadow += oracles.exact_value(other)
         elif kind < 0.5:
             m = rng.choice((-3, -2, -1, 1, 2, 3))
             value = fx_mul_small(value, m)
@@ -338,8 +335,8 @@ def _random_walk(seed: int, ops: int, scale: int, check_every: int):
             # the truncating division adds less than one ulp
             ledger = ErrorLedger(ledger.ulps + 1)
         if step % check_every == 0:
-            assert abs(value.as_fraction() - shadow) <= ledger.ulps * ulp
-    assert abs(value.as_fraction() - shadow) <= ledger.ulps * ulp
+            assert abs(oracles.exact_value(value) - shadow) <= ledger.ulps * ulp
+    assert abs(oracles.exact_value(value) - shadow) <= ledger.ulps * ulp
 
 
 def test_ledger_soundness_short_walks_every_step():
@@ -421,6 +418,23 @@ def test_decimal_string_straddle_detected():
 def test_decimal_string_straddle_at_zero():
     with pytest.raises(BoundaryStraddleError):
         fx_to_decimal_string(fp(1, 8), ErrorLedger(5), 2)
+
+
+def test_decimal_string_reads_the_whole_ledger_at_a_digit_boundary():
+    # 0.50000002 - 2 ulps touches 0.500 from above and renders; 0.50000001
+    # - 2 ulps falls below it and straddles.  A renderer that read half the
+    # ledger would render both
+    ledger = ErrorLedger(2)
+    assert fx_to_decimal_string(FixedPoint(1, 50_000_002, 8), ledger, 3) == "0.500"
+    with pytest.raises(BoundaryStraddleError):
+        fx_to_decimal_string(FixedPoint(1, 50_000_001, 8), ledger, 3)
+
+
+@pytest.mark.parametrize("sign,rendered", ((1, "0.000"), (-1, "-0.000")))
+def test_decimal_string_interval_touching_zero_renders(sign, rendered):
+    # 2 ulps +- 2 ulps reaches zero from one side only: certifiable, not a
+    # straddle of zero
+    assert fx_to_decimal_string(FixedPoint(sign, 2, 8), ErrorLedger(2), 3) == rendered
 
 
 def test_guaranteed_digit_count_formula():

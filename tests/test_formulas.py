@@ -12,6 +12,7 @@ from rationalpi import formulas, series
 from rationalpi.fixedpoint import (
     BoundaryStraddleError,
     ErrorLedger,
+    FixedPoint,
     InsufficientPrecisionError,
     PrecisionContext,
     fx_to_decimal_string,
@@ -64,7 +65,7 @@ def test_sun_value_within_error_of_true_arctan(digits):
     for case in CaseId:
         ctx = context_for_case(case, digits)
         result = sun(case, ctx)
-        value = result.value.as_fraction()
+        value = oracles.exact_value(result.value)
         allowance = Fraction(result.error_ulps, 10**ctx.scale)
         lo, hi = oracles.case_target_bracket(case.value, ctx.scale)
         assert value - allowance <= lo and hi <= value + allowance
@@ -251,6 +252,36 @@ def test_identity_is_a_quarter_of_case1_against_combined(digits):
         4 * identity.residual_ulps,
         4 * identity.bound_ulps,
     )
+
+
+@pytest.mark.parametrize("excess,passed", ((0, True), (1, False)))
+def test_agreement_and_identity_pass_exactly_at_their_bounds(excess, passed, monkeypatch):
+    # a disagreement of exactly its bound passes and one ulp more fails, for
+    # a route pair and for the identity alike; a check against twice the
+    # bound would pass both
+    ctx = context_for_verify(30)
+    results = {formula_id: compute_pi(formula_id, ctx) for formula_id in PI_FORMULAS}
+    case1 = results[PiFormulaId.CASE1]
+
+    def agreement_with(moved, offset):
+        # route ``moved`` stores case1's value plus ``offset`` ulps; pi is
+        # positive, and a positive offset keeps it so
+        value = FixedPoint(1, case1.value.magnitude + offset, ctx.scale)
+        routes = {**results, moved: results[moved]._replace(value=value)}
+        monkeypatch.setattr(formulas, "compute_pi", lambda formula_id, _: routes[formula_id])
+        return cross_formula_agreement(ctx)
+
+    machin = results[PiFormulaId.MACHIN_ORACLE]
+    _, checks = agreement_with(
+        PiFormulaId.MACHIN_ORACLE, case1.error_ulps + machin.error_ulps + excess
+    )
+    (check,) = [c for c in checks if (c.first, c.second) == ("case1", "machin")]
+    assert (check.passed, check.diff_ulps - check.bound_ulps) == (passed, excess)
+
+    combined = results[PiFormulaId.COMBINED]
+    bound = (case1.error_ulps + combined.error_ulps) // 4
+    identity, _ = agreement_with(PiFormulaId.COMBINED, 4 * (bound + excess))
+    assert (identity.passed, identity.residual_ulps - identity.bound_ulps) == (passed, excess)
 
 
 # --- the six-series stack --------------------------------------------------------
