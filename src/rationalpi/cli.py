@@ -6,19 +6,17 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-Every subcommand refuses ``--digits`` above ``DEFAULT_MAX_DIGITS`` and
-``bench`` refuses ``--repeat`` above ``MAX_REPEAT``, both before any
-planning, so every request has a bounded cost.  ``pi --fixture`` reads
-its file until it holds the output's digits, and refuses an unreadable
-file, one that holds a character other than a digit, or one with fewer
-digits than the output, before planning too.
+Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS`` and
+``bench`` takes ``--repeat`` from 1 to ``MAX_REPEAT``: their argparse
+types refuse any other value before planning, so every request has a
+bounded cost.  ``pi --fixture`` reads its file only up to the output's
+last digit, and refuses an unreadable file, a non-digit before that
+digit, or too few digits, before planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
 device or a closed stdout).
 """
-
-from __future__ import annotations
 
 import argparse
 import codecs
@@ -52,14 +50,16 @@ MAX_REPEAT = 100
 JSON_SCHEMA_VERSION = 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _count(cap: int):
+    """The argparse type of an integer from 1 to ``cap``."""
+    def count(text: str) -> int:
+        try:
+            if 1 <= (value := int(text)) <= cap:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not an integer from 1 to {cap}: {text!r}")
+    return count
 
 
 def _refuse(status: int, message: str) -> None:
@@ -76,32 +76,36 @@ def _render_digits(result: EvalResult, digits: int) -> str:
 
 def _read_fixture(path: str, length: int) -> str:
     """The first ``length`` digits of the fixture file, read before any
-    planning in bounded pieces until it holds them, and refused at its first
-    non-digit outside whitespace, '.' and '#' comment lines, or if it has
-    fewer digits.  Nothing after the piece that completes the digits is
-    read, so an endless file is read only as far as the output needs."""
+    planning and skipping whitespace, '.' and '#' comment lines, which end
+    only at a '\\n'.  Refused at an undecodable byte or a non-digit before
+    the ``length``-th digit, or if there are fewer; nothing after that digit
+    is examined, so the verdict does not depend on where a read ends."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     reference, read = "", 0
     blank, comment = True, False  # the current line: whitespace so far, a comment
     try:
         with open(path, "rb") as handle:
-            while chunk := handle.readline(1 << 16):
+            # readline ends a piece at a newline, so each piece lies inside one line
+            while len(reference) < length and (chunk := handle.readline(1 << 16)):
                 read += len(chunk)
-                for piece in decoder.decode(chunk).splitlines(keepends=True):
-                    if blank and (text := piece.lstrip()):
-                        blank, comment = False, text.startswith("#")
-                    if not comment:
-                        digits = "".join(piece.split()).replace(".", "")
-                        if bad := next((c for c in digits if c not in "0123456789"), None):
-                            _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
-                        reference += digits[:length - len(reference)]
-                    if piece.splitlines() != [piece]:  # the piece ends its line
-                        blank, comment = True, False
-                if len(reference) == length:
-                    # the digits are all here: a character cut at this
-                    # piece's end is left undecoded, not refused
-                    break
-            else:
+                try:
+                    text, error = decoder.decode(chunk), None
+                except UnicodeDecodeError as exc:
+                    # the characters before the undecodable bytes may complete the digits
+                    text, error = exc.object[:exc.start].decode(), exc
+                if blank and (stripped := text.lstrip()):
+                    blank, comment = False, stripped.startswith("#")
+                if not comment:
+                    # the characters up to the last needed digit, less whitespace and '.'
+                    digits = "".join(text.split()).replace(".", "")[:length - len(reference)]
+                    if bad := next((c for c in digits if c not in "0123456789"), None):
+                        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
+                    reference += digits
+                if error and len(reference) < length:
+                    raise error
+                if text.endswith("\n"):
+                    blank, comment = True, False
+            if len(reference) < length:
                 decoder.decode(b"", final=True)  # raises on a truncated last character
     except OSError as exc:
         _refuse(2, f"error: cannot read fixture: {exc}")
@@ -219,14 +223,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         writer.writerow(_COMPARE_COLUMNS)
         writer.writerows(cells)
         return 0
-    widths = [
-        max(len(_COMPARE_COLUMNS[i]), *(len(c[i]) for c in cells))
-        for i in range(len(_COMPARE_COLUMNS))
-    ]
-    header = "  ".join(name.ljust(widths[i]) for i, name in enumerate(_COMPARE_COLUMNS))
-    print(header.rstrip())
-    for row_cells in cells:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row_cells)).rstrip())
+    widths = [max(map(len, column)) for column in zip(_COMPARE_COLUMNS, *cells)]
+    for row_cells in (_COMPARE_COLUMNS, *cells):
+        print("  ".join(cell.ljust(width) for cell, width in zip(row_cells, widths)).rstrip())
     return 0
 
 
@@ -264,10 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    digits = _count(DEFAULT_MAX_DIGITS)
 
     p_pi = sub.add_parser("pi", help="compute pi digits")
-    p_pi.add_argument("--digits", type=_positive_int, required=True,
-                      help="fractional digits to emit (certified)")
+    p_pi.add_argument("--digits", type=digits, required=True,
+                      help=f"fractional digits to emit (certified), 1 to {DEFAULT_MAX_DIGITS}")
     p_pi.add_argument("--method", choices=[f.value for f in PiFormulaId], default="combined",
                       help="assembly route (default: combined)")
     p_pi.add_argument("--json", action="store_true", help="emit the full JSON report")
@@ -279,28 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_at = sub.add_parser("arctan", help="compute an arctangent value")
     p_at.add_argument("--case", choices=[c.value for c in CaseId], required=True,
                       help="series argument x; the value is arctan(x/(2-x))")
-    p_at.add_argument("--digits", type=_positive_int, required=True,
-                      help="fractional digits to emit (certified)")
+    p_at.add_argument("--digits", type=digits, required=True,
+                      help=f"fractional digits to emit (certified), 1 to {DEFAULT_MAX_DIGITS}")
     p_at.add_argument("--json", action="store_true", help="emit the full JSON report")
     p_at.set_defaults(func=cmd_arctan)
 
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
-    p_ver.add_argument("--digits", type=_positive_int, default=50,
-                       help="working digit target (default: 50)")
+    p_ver.add_argument("--digits", type=digits, default=50,
+                       help=f"working digit target, 1 to {DEFAULT_MAX_DIGITS} (default: 50)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")
-    p_cmp.add_argument("--digits", type=_positive_int, required=True,
-                       help="digit target the term counts refer to")
+    p_cmp.add_argument("--digits", type=digits, required=True,
+                       help=f"digit target the term counts refer to, 1 to {DEFAULT_MAX_DIGITS}")
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_bench = sub.add_parser(
         "bench", help="time the pi routes; exits 1 unless their certified digits agree"
     )
-    p_bench.add_argument("--digits", type=_positive_int, default=2000)
-    p_bench.add_argument("--repeat", type=_positive_int, default=3,
-                         help=f"timed runs per route, at most {MAX_REPEAT} (default: 3)")
+    p_bench.add_argument("--digits", type=digits, default=2000,
+                         help=f"digits per route, 1 to {DEFAULT_MAX_DIGITS} (default: 2000)")
+    p_bench.add_argument("--repeat", type=_count(MAX_REPEAT), default=3,
+                         help=f"timed runs per route, 1 to {MAX_REPEAT} (default: 3)")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser
@@ -308,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # every request limit, checked before anything is planned
-    if args.digits > DEFAULT_MAX_DIGITS:
-        _refuse(2, f"error: --digits {args.digits} exceeds the configured maximum "
-                   f"{DEFAULT_MAX_DIGITS}")
-    if args.command == "bench" and args.repeat > MAX_REPEAT:
-        _refuse(2, f"error: --repeat {args.repeat} exceeds the maximum {MAX_REPEAT}")
     try:
         return args.func(args)
     except (InsufficientPrecisionError, BoundaryStraddleError) as exc:

@@ -21,8 +21,6 @@ value, which ``_replace``, copy and pickle all go through.  The private
 and their arithmetic on valid operands proves the invariants.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from decimal import Decimal
 

@@ -18,8 +18,6 @@ arctangents into the weighted case stacks and series that one
 quantifies how many terms each route needs per digit.
 """
 
-from __future__ import annotations
-
 import enum
 import itertools
 import math

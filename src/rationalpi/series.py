@@ -54,8 +54,6 @@ remainder, whichever way the terms were stored.  It depends only on the
 term counts and is proved in :func:`eval_series`.
 """
 
-from __future__ import annotations
-
 import enum
 import heapq
 import itertools

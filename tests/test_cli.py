@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rationalpi import cli, formulas
 from rationalpi.cli import main
@@ -136,22 +136,21 @@ def planning_blocked(monkeypatch):
     ),
 )
 def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
-    over = str(cli.DEFAULT_MAX_DIGITS + 1)
-    code, out, err = run_cli(argv + [over], capsys)
-    assert code == 2
-    assert out == ""
-    assert f"--digits {over} exceeds the configured maximum" in err
+    # the argparse type refuses both ends of the range
+    for bad in ("0", str(cli.DEFAULT_MAX_DIGITS + 1)):
+        code, out, err = run_cli(argv + [bad], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --digits: not an integer from 1 to {cli.DEFAULT_MAX_DIGITS}: '{bad}'" in err
     # at the cap itself the request goes on to plan
     with pytest.raises(PlanningReached):
         main(argv + [str(cli.DEFAULT_MAX_DIGITS)])
 
 
 def test_repeat_cap_refuses_before_planning(planning_blocked, capsys):
-    over = str(cli.MAX_REPEAT + 1)
-    code, out, err = run_cli(["bench", "--digits", "10", "--repeat", over], capsys)
-    assert code == 2
-    assert out == ""
-    assert f"--repeat {over} exceeds the maximum {cli.MAX_REPEAT}" in err
+    for bad in ("0", str(cli.MAX_REPEAT + 1)):
+        code, out, err = run_cli(["bench", "--digits", "10", "--repeat", bad], capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --repeat: not an integer from 1 to {cli.MAX_REPEAT}: '{bad}'" in err
     # at the cap itself the request goes on to plan
     with pytest.raises(PlanningReached):
         main(["bench", "--digits", "10", "--repeat", str(cli.MAX_REPEAT)])
@@ -252,6 +251,74 @@ def test_endless_fixture_of_digits_is_read_to_the_needed_digits(
     monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
     assert run_cli(["pi", "--digits", "10", "--fixture", "endless"], capsys) == result
     assert handle.reads == reads
+
+
+class SplitFixture(io.BytesIO):
+    """A fixture file whose reads end at each newline and at each of
+    ``cuts``, byte offsets where a ``readline(size)`` could end a piece."""
+
+    def __init__(self, data: bytes, cuts):
+        super().__init__(data)
+        self.cuts = sorted(cuts)
+
+    def readline(self, size=-1):
+        at = self.tell()
+        end = next((cut for cut in self.cuts if cut > at), None)
+        return super().readline(-1 if end is None else end - at)
+
+
+@st.composite
+def split_fixtures(draw):
+    """``(data, cuts)``: pi's first ten digits after comment and blank lines
+    with multi-byte characters, with separators or faults inside them and
+    anything after them, cut anywhere and always right after the last '5'."""
+    lead = "".join(draw(st.lists(st.sampled_from(
+        ("# " + "\u03c0" * 40 + "\n", "  # r\u00e9f\u00a0\n", "\n", " \u00a0\t\n")), max_size=3)))
+    body = list("3.1415926535")
+    for _ in range(draw(st.integers(0, 2))):
+        body.insert(draw(st.integers(1, len(body) - 1)),
+                    draw(st.sampled_from((" ", "\u00a0", "\n", ".", "x", "\u03c0", "9"))))
+    head = (lead + "".join(body)).encode()
+    tail = draw(st.sampled_from((b"", b"x", b"\nx", b"\xff", b"\xe2\x82", "\u00a0\u03c0\n".encode(),
+                                 b"8" * 9, b"\n# " + b"x" * 50)))
+    data = head + tail
+    cuts = draw(st.sets(st.integers(1, len(data) - 1))) | {len(head)}
+    return data, cuts
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fixture=split_fixtures())
+@example(fixture=(b"3.1415926535x", {12}))
+@example(fixture=(b"3.1415926535\nx", {12}))
+def test_fixture_verdict_does_not_depend_on_where_reads_end(fixture, monkeypatch, capsys):
+    # the same bytes give the same verdict read whole line by line or in
+    # any pieces, cut inside a comment line or a character or right after
+    # the last needed digit
+    data, cuts = fixture
+
+    def verdict(cuts):
+        handle = SplitFixture(data, cuts)
+        monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
+        return run_cli(["pi", "--digits", "10", "--fixture", "split"], capsys)
+
+    assert verdict(cuts) == verdict(())
+
+
+@pytest.mark.parametrize(
+    "text,result",
+    (
+        ("3.1415926535x", (0, "3.1415926535\n", "")),
+        ("3.1415926535\nx", (0, "3.1415926535\n", "")),
+        ("3.14x5926535", (2, "", "error: fixture {path} holds the non-digit 'x'\n")),
+    ),
+    ids=("after-the-digits", "line-after-the-digits", "among-the-digits"),
+)
+def test_fixture_is_examined_up_to_its_last_needed_digit(text, result, tmp_path, capsys):
+    path = tmp_path / "ref.txt"
+    path.write_text(text)
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
+    assert (code, out, err) == (result[0], result[1], result[2].format(path=path))
 
 
 def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
