@@ -9,9 +9,11 @@ else is byte-reproducible across runs.
 Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS`` and
 ``bench`` takes ``--repeat`` from 1 to ``MAX_REPEAT``: their argparse
 types refuse any other value before planning, so every request has a
-bounded cost.  ``pi --fixture`` reads its file only up to the output's
-last digit, and refuses an unreadable file, a non-digit before that
-digit, or too few digits, before planning too.
+bounded cost.  ``pi --fixture`` reads its file up to a budget of
+``FIXTURE_BYTES`` plus ``FIXTURE_BYTES_PER_DIGIT`` bytes per output digit,
+or to its end, and refuses an unreadable file, a non-digit before the
+output's last digit, or too few digits within that prefix, before
+planning too.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -19,8 +21,8 @@ device or a closed stdout).
 """
 
 import argparse
-import codecs
 import os
+import re
 import sys
 import time
 from decimal import Decimal
@@ -47,6 +49,8 @@ from .series import CaseId
 
 DEFAULT_MAX_DIGITS = 100_000
 MAX_REPEAT = 100
+FIXTURE_BYTES = 1 << 20
+FIXTURE_BYTES_PER_DIGIT = 8
 JSON_SCHEMA_VERSION = 1
 
 
@@ -76,51 +80,38 @@ def _render_digits(result: EvalResult, digits: int) -> str:
 
 def _read_fixture(path: str, length: int) -> str:
     """The first ``length`` digits of the fixture file, read before any
-    planning and skipping whitespace, '.' and '#' comment lines, which end
-    only at a '\\n'.  Refused at an undecodable byte or a non-digit before
-    the ``length``-th digit, or if there are fewer; nothing after that digit
-    is examined, so the verdict does not depend on where a read ends."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    reference, read = "", 0
-    blank, comment = True, False  # the current line: whitespace so far, a comment
+    planning from its first ``FIXTURE_BYTES + FIXTURE_BYTES_PER_DIGIT *
+    length`` bytes, the budget, or from all of it if it is shorter.
+    Whitespace, '.' and '#' comment lines, which end only at a '\\n', are
+    skipped.  Refused at an undecodable byte or a non-digit before the
+    ``length``-th digit, or if the budget or the file holds fewer digits;
+    nothing after that digit counts, so one read decides every file, an
+    endless one too."""
+    limit = FIXTURE_BYTES + FIXTURE_BYTES_PER_DIGIT * length
     try:
         with open(path, "rb") as handle:
-            # readline ends a piece at a newline, so each piece lies inside one line
-            while len(reference) < length and (chunk := handle.readline(1 << 16)):
-                read += len(chunk)
-                try:
-                    text, error = decoder.decode(chunk), None
-                except UnicodeDecodeError as exc:
-                    # the characters before the undecodable bytes may complete the digits
-                    text, error = exc.object[:exc.start].decode(), exc
-                if blank and (stripped := text.lstrip()):
-                    blank, comment = False, stripped.startswith("#")
-                if not comment:
-                    # the characters up to the last needed digit, less whitespace and '.'
-                    digits = "".join(text.split()).replace(".", "")[:length - len(reference)]
-                    if bad := next((c for c in digits if c not in "0123456789"), None):
-                        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
-                    reference += digits
-                if error and len(reference) < length:
-                    raise error
-                if text.endswith("\n"):
-                    blank, comment = True, False
-            if len(reference) < length:
-                decoder.decode(b"", final=True)  # raises on a truncated last character
+            data = handle.read(limit)
     except OSError as exc:
         _refuse(2, f"error: cannot read fixture: {exc}")
+    try:
+        text, error = data.decode(), None
     except UnicodeDecodeError as exc:
-        # the decoder counts from the bytes it was given; report the
-        # position in the file, as decoding the whole file at once does
-        at = read - len(exc.object) + exc.start
-        where = (f"byte 0x{exc.object[exc.start]:02x} in position {at}"
-                 if exc.end == exc.start + 1 else
-                 f"bytes in position {at}-{at + exc.end - exc.start - 1}")
-        _refuse(2, f"error: cannot read fixture: '{exc.encoding}' codec can't decode "
-                   f"{where}: {exc.reason}")
-    if not reference:
-        _refuse(2, f"error: fixture {path} contains no digits")
+        # the characters before the undecodable bytes may complete the digits
+        text, error = data[:exc.start].decode(), exc
+    # comment lines go, then whitespace and '.': what is left up to the
+    # last needed digit is the reference
+    reference = "".join(re.sub(r"(?m)^[^\S\n]*#.*", "", text).split()).replace(".", "")[:length]
+    if bad := reference.lstrip("0123456789")[:1]:
+        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
     if len(reference) < length:
+        # a character cut at the end of a full read is the budget's refusal
+        if error and error.end < limit:
+            _refuse(2, f"error: cannot read fixture: {error}")
+        if len(data) == limit:
+            _refuse(2, f"error: fixture {path} has only {len(reference)} digits in its "
+                       f"first {limit} bytes, output has {length}")
+        if not reference:
+            _refuse(2, f"error: fixture {path} contains no digits")
         _refuse(2, f"error: fixture {path} has only {len(reference)} digits, output has {length}")
     return reference
 

@@ -1,7 +1,6 @@
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import os
 import re
@@ -217,40 +216,76 @@ def test_undecodable_fixture_names_the_file_position(tail, detail, tmp_path, cap
 
 class EndlessFixture(io.BytesIO):
     """A fixture file whose reads never run dry: ``head``, then ``line``
-    forever, counting the reads."""
+    forever, recording the sizes asked for."""
 
     def __init__(self, head: bytes, line: bytes):
         super().__init__()
-        self.lines = itertools.chain([head], itertools.repeat(line))
-        self.reads = 0
+        self.head, self.line, self.sizes = head, line, []
 
-    def readline(self, size=-1):
-        self.reads += 1
-        return next(self.lines)
+    def read(self, size):
+        self.sizes.append(size)
+        return (self.head + self.line * (size // len(self.line) + 1))[:size]
+
+
+def _fixture_budget(digits: int) -> int:
+    # the output has one digit more than --digits: "3." and the digits
+    return cli.FIXTURE_BYTES + cli.FIXTURE_BYTES_PER_DIGIT * (digits + 1)
+
+
+_NO_DIGITS_IN_BUDGET = (2, "", f"error: fixture endless has only 0 digits in its first "
+                               f"{_fixture_budget(10)} bytes, output has 11\n")
 
 
 @pytest.mark.parametrize(
-    "head,line,reads,result",
+    "head,line,result",
     (
         # printf '3.1415926535\n'; yes 8
-        (b"3.1415926535\n", b"8\n", 1, (0, "3.1415926535\n", "")),
-        # the piece that completes the digits ends inside a no-break space,
-        # which is left undecoded instead of refused as truncated
-        (b"3.1415926535\xc2", b"\xa0\n", 1, (0, "3.1415926535\n", "")),
+        (b"3.1415926535\n", b"8\n", (0, "3.1415926535\n", "")),
+        # 13 bytes, then 2-byte no-break spaces: the budget is even, so the
+        # read ends inside a character, after the digits
+        (b"3.1415926535\n", "\u00a0".encode(), (0, "3.1415926535\n", "")),
         # yes 1
-        (b"1\n", b"1\n", 11,
+        (b"1\n", b"1\n",
          (1, "", "fixture mismatch at digit 0 after the point: fixture '1', computed '3'\n")),
+        # yes '' and yes '# c': no digit comes, and the budget ends the read
+        (b"", b"\n", _NO_DIGITS_IN_BUDGET),
+        (b"", b"# c\n", _NO_DIGITS_IN_BUDGET),
+        # the budget, not the file, cuts the last no-break space
+        (b"\n", "\u00a0".encode(), _NO_DIGITS_IN_BUDGET),
     ),
-    ids=("pi-then-8s", "cut-character", "ones"),
+    ids=("pi-then-8s", "cut-character", "ones", "blank-lines", "comment-lines",
+         "cut-character-without-digits"),
 )
 def test_endless_fixture_of_digits_is_read_to_the_needed_digits(
-    head, line, reads, result, monkeypatch, capsys
+    head, line, result, monkeypatch, capsys
 ):
     # read to its end, such a fixture would never return
     handle = EndlessFixture(head, line)
     monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
     assert run_cli(["pi", "--digits", "10", "--fixture", "endless"], capsys) == result
-    assert handle.reads == reads
+    assert handle.sizes and all(0 <= size <= _fixture_budget(10) for size in handle.sizes)
+
+
+@pytest.mark.parametrize(
+    "pad,result",
+    (
+        # the last digit is the last byte of the budget
+        (-12, (0, "3.1415926535\n", "")),
+        # the last digit is the first byte past it
+        (-11, (2, "", "error: fixture {path} has only 10 digits in its first {budget} "
+                      "bytes, output has 11\n")),
+        # and so is the first digit
+        (0, (2, "", "error: fixture {path} has only 0 digits in its first {budget} "
+                    "bytes, output has 11\n")),
+    ),
+    ids=("last-digit-inside", "last-digit-past", "first-digit-past"),
+)
+def test_fixture_digits_count_only_within_the_budget(pad, result, tmp_path, capsys):
+    budget = _fixture_budget(10)
+    path = tmp_path / "ref.txt"
+    path.write_bytes(b"\n" * (budget + pad) + b"3.1415926535\n# more\n")
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
+    assert (code, out, err) == (result[0], result[1], result[2].format(path=path, budget=budget))
 
 
 class SplitFixture(io.BytesIO):
