@@ -74,6 +74,11 @@ def _refuse(status: int, message: str) -> None:
     raise SystemExit(status)
 
 
+def _first_difference(*texts: str) -> int:
+    """Index of the first place where the ``texts`` differ."""
+    return next(i for i, chars in enumerate(zip(*texts)) if len(set(chars)) > 1)
+
+
 def _render_digits(result: EvalResult, digits: int) -> str:
     return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
 
@@ -120,7 +125,7 @@ def _value_command(
     args: argparse.Namespace, method: str, key, plan, evaluate, reference: str | None = None
 ) -> int:
     """Plan, evaluate and render one value, refuse with status 1 unless its
-    digits begin the ``reference`` digits if given, then print the digits or
+    digits are the ``reference`` digits if given, then print the digits or
     the schema-1 JSON report.  Callers pass ``plan`` and ``evaluate`` from
     this module's bindings at each call, so a wrapper bound in their place
     sees every request."""
@@ -130,8 +135,8 @@ def _value_command(
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     if reference is not None:
         computed = value.replace(".", "")
-        if not reference.startswith(computed):
-            position = next(i for i, (a, b) in enumerate(zip(reference, computed)) if a != b)
+        if reference != computed:
+            position = _first_difference(reference, computed)
             # position 0 is the integer digit
             _refuse(1, f"fixture mismatch at digit {position} after the point: "
                        f"fixture {reference[position]!r}, computed {computed[position]!r}")
@@ -235,7 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         rows.append((formula_id.value, result.terms_used, min(times)))
     if len(set(values.values())) > 1:
         # every value reads "3." and then the digits
-        first = next(i for i, chars in enumerate(zip(*values.values())) if len(set(chars)) > 1)
+        first = _first_difference(*values.values())
         detail = ", ".join(f"{name} has {value[first]!r}" for name, value in values.items())
         _refuse(1, f"pi routes disagree at digit {first - 1} after the point: {detail}")
     print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")

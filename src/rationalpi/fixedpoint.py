@@ -13,12 +13,13 @@ All operands of one computation share a single scale, fixed up front by a
 :class:`PrecisionContext`.  Mixing scales raises instead of rescaling, so
 there is no hidden rounding anywhere in the layer.
 
-A :class:`FixedPoint` is a named tuple with one checked constructor,
-``FixedPoint(sign, magnitude, scale)``, the one public way to build a
-value, which ``_replace``, copy and pickle all go through.  The private
-:func:`_fixed` skips the checks.  Only ``fx_add``, ``fx_mul_small`` and
-``fx_div_small`` use it, because they run several times per series term
-and their arithmetic on valid operands proves the invariants.
+The records are named tuples whose constructor, which ``_replace``, copy
+and pickle all go through, holds each field to one rule, as the functions
+hold the integers their callers pass: exactly an ``int``, else
+:class:`TypeError`, and at least a bound, else :class:`ValueError`.  Only
+:func:`_fixed` skips the checks, for ``fx_add``, ``fx_mul_small`` and
+``fx_div_small``: they run several times per series term and their
+arithmetic on valid operands proves the invariants.
 """
 
 from collections import namedtuple
@@ -60,12 +61,28 @@ class BoundaryStraddleError(ArithmeticError):
     so no digit prefix of the requested length can be emitted honestly."""
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """The one rule for a checked integer: exactly an ``int``, so not a
+    ``bool`` or a ``float``, and at least ``least`` if given."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 class _Checked:
-    """Base of the named-tuple records whose ``__new__`` checks their fields,
-    listed first so its ``_make`` replaces the inherited one, which
-    ``_replace`` calls and which would skip ``__new__``."""
+    """Base of the named-tuple records whose ``__new__`` checks each field
+    against its bound in the class's ``_least``, listed first so its
+    ``_make`` replaces the inherited one, which ``_replace`` calls and which
+    would skip ``__new__``."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        for name, value, least in zip(cls._fields, record, cls._least):
+            _check_int(name, value, least)
+        return record
 
     @classmethod
     def _make(cls, fields):
@@ -80,14 +97,15 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
 
     Every way of building one except :func:`_fixed` runs the constructor,
     which checks all four invariants (sign in {-1, 0, 1}, magnitude and
-    scale non-negative, canonical zero) and raises :class:`ValueError`
-    otherwise.  :func:`_fixed` is what the ``fx_*`` operations build their
-    results with: it skips the checks, because each caller's arithmetic
-    already establishes them from valid operands.  Fields are read-only, and
+    scale non-negative, canonical zero) on ``int`` fields.  :func:`_fixed`
+    is what the ``fx_*`` operations build their results with: it skips the
+    checks, because each caller's arithmetic already establishes them from
+    valid operands.  Fields are read-only, and
     a value equals and hashes as its field tuple ``(sign, magnitude, scale)``.
     """
 
     __slots__ = ()
+    _least = (-1, 0, 0)
 
     # a value is a number, not a sequence: tuple concatenation, repetition
     # and lexicographic order would answer silently and wrongly, so these
@@ -95,15 +113,12 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __new__(cls, sign: int, magnitude: int, scale: int):
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or 1, got {sign}")
-        if magnitude < 0:
-            raise ValueError("magnitude must be non-negative")
-        if scale < 0:
-            raise ValueError("scale must be non-negative")
+        value = super().__new__(cls, sign, magnitude, scale)
+        if sign > 1:
+            raise ValueError(f"sign must be at most 1, got {sign}")
         if (magnitude == 0) != (sign == 0):
             raise ValueError("zero must have sign 0 and magnitude 0, exactly")
-        return super().__new__(cls, sign, magnitude, scale)
+        return value
 
     def __repr__(self):
         # Decimal renders without the interpreter's int-to-str digit cap
@@ -127,19 +142,13 @@ def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
     return tuple.__new__(FixedPoint, (sign, magnitude, scale))
 
 
-class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps")):
+class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps", defaults=(0,))):
     """Worst-case error of one stored value, counted in ulps: an
     evaluation's certificate, as :func:`fx_to_decimal_string` reads it.
-    Checked like the other records: a negative count raises
-    :class:`ValueError`.
-    """
+    Checked like the other records: the count is an ``int`` of 0 or more."""
 
     __slots__ = ()
-
-    def __new__(cls, ulps: int = 0):
-        if ulps < 0:
-            raise ValueError("ulps must be non-negative")
-        return super().__new__(cls, ulps)
+    _least = (0,)
 
 
 class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits guard_digits")):
@@ -153,13 +162,7 @@ class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits g
     """
 
     __slots__ = ()
-
-    def __new__(cls, target_digits: int, guard_digits: int):
-        if target_digits < 1:
-            raise ValueError("target_digits must be positive")
-        if guard_digits < 0:
-            raise ValueError("guard_digits must be non-negative")
-        return super().__new__(cls, target_digits, guard_digits)
+    _least = (1, 0)
 
     @property
     def scale(self) -> int:
@@ -265,8 +268,7 @@ def fx_to_decimal_string(a: FixedPoint, ledger: ErrorLedger, want_digits: int) -
     the request, and :class:`BoundaryStraddleError` when the certified
     interval ``value +- ulps`` does not pin down a unique digit prefix.
     """
-    if want_digits < 0:
-        raise ValueError("want_digits must be non-negative")
+    _check_int("want_digits", want_digits, 0)
     guaranteed = guaranteed_digit_count(a.scale, ledger.ulps)
     if want_digits > guaranteed:
         raise InsufficientPrecisionError(want_digits, guaranteed)

@@ -136,9 +136,7 @@ def verify_factorization() -> FactorizationCheck:
 
 def arctan_recip_spec(n: int) -> SeriesSpec:
     """``arctan(1/n)`` as the standard odd-denominator alternating series:
-    prefactor 1/n, denominators 2k+1, ratio 1/n^2."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    prefactor 1/n, denominators 2k+1, ratio 1/n^2; the spec refuses n < 2."""
     return SeriesSpec(1, n, 1, 2, n * n)
 
 
@@ -230,10 +228,8 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
     flagged as never evaluated because its terms are irrational.  Every
     other row is built by one rule from its series: ``terms_per_digit`` is
     the sum of ``ln 10 / ln q_den`` over them and ``terms_for_target`` the
-    sum of their :func:`terms_needed`.
+    sum of their :func:`terms_needed`, which checks ``target_digits``.
     """
-    if target_digits < 1:
-        raise ValueError("target_digits must be positive")
     t = target_digits
     methods = [
         ("sharp_model", [SeriesSpec(1, 1, 1, 2, 3)],

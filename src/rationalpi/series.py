@@ -69,6 +69,7 @@ from .fixedpoint import (
     PrecisionContext,
     _Checked,
     _ceil_log10,
+    _check_int,
     fx_add,
     fx_div_small,
     fx_mul_small,
@@ -111,19 +112,12 @@ class CaseId(enum.Enum):
 class SeriesSpec(
     _Checked, namedtuple("SeriesSpec", "prefactor_num prefactor_den offset step q_den")
 ):
-    """One alternating series; immutable and validated on construction,
-    ``_replace`` included."""
+    """One alternating series; immutable and checked on construction,
+    ``_replace`` included: every field is an ``int`` of 1 or more, and
+    ``q_den`` at least 2 for strict convergence."""
 
     __slots__ = ()
-
-    def __new__(cls, prefactor_num: int, prefactor_den: int, offset: int, step: int, q_den: int):
-        if prefactor_num < 1 or prefactor_den < 1:
-            raise ValueError("prefactor must be a positive rational")
-        if offset < 1 or step < 1:
-            raise ValueError("offset and step must be at least 1")
-        if q_den < 2:
-            raise ValueError("q_den must be at least 2 for strict convergence")
-        return super().__new__(cls, prefactor_num, prefactor_den, offset, step, q_den)
+    _least = (1, 1, 1, 1, 2)
 
     @property
     def prefactor(self) -> Fraction:
@@ -181,9 +175,7 @@ def terms_needed(spec: SeriesSpec, target_digits: int) -> int:
     a float logarithm only seeds the search, so the result is exactly
     minimal and never an underestimate.
     """
-    if target_digits < 1:
-        raise ValueError("target_digits must be positive")
-
+    _check_int("target_digits", target_digits, 1)
     q = spec.q_den
     threshold = spec.prefactor_num * 10**target_digits
     seed = (
@@ -232,6 +224,9 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     returned result always certifies at least that many.
     """
     stack = list(specs)
+    for weight, _ in stack:
+        # a float weight would round the sum and break the certificate
+        _check_int("weight", weight)
     scale = ctx.scale
     planned = [max(1, terms_needed(spec, scale)) for _, spec in stack]
     error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
@@ -347,8 +342,7 @@ def _shared_pass(
 
 def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
     """Exact ``|term_{k+1}| / |term_k|``; always below ``1/q_den``."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_int("k", k, 0)
     return Fraction(spec.denominator(k), spec.q_den * spec.denominator(k + 1))
 
 

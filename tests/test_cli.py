@@ -205,8 +205,8 @@ def test_endless_fixture_refuses_at_its_first_non_digit(planning_blocked, capsys
     ids=("invalid-byte", "truncated"),
 )
 def test_undecodable_fixture_names_the_file_position(tail, detail, tmp_path, capsys):
-    # past the reader's first 64 KiB piece, the position still counts from
-    # the start of the file
+    # an undecodable byte 70,002 bytes into the file, after a long comment
+    # line, is named by its position counted from the start of the file
     path = tmp_path / "ref.txt"
     path.write_bytes(b"#" + b"x" * 70000 + b"\n" + tail)
     code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
@@ -288,56 +288,61 @@ def test_fixture_digits_count_only_within_the_budget(pad, result, tmp_path, caps
     assert (code, out, err) == (result[0], result[1], result[2].format(path=path, budget=budget))
 
 
-class SplitFixture(io.BytesIO):
-    """A fixture file whose reads end at each newline and at each of
-    ``cuts``, byte offsets where a ``readline(size)`` could end a piece."""
-
-    def __init__(self, data: bytes, cuts):
-        super().__init__(data)
-        self.cuts = sorted(cuts)
-
-    def readline(self, size=-1):
-        at = self.tell()
-        end = next((cut for cut in self.cuts if cut > at), None)
-        return super().readline(-1 if end is None else end - at)
-
-
 @st.composite
-def split_fixtures(draw):
-    """``(data, cuts)``: pi's first ten digits after comment and blank lines
-    with multi-byte characters, with separators or faults inside them and
-    anything after them, cut anywhere and always right after the last '5'."""
+def drawn_fixtures(draw):
+    """pi's first ten digits after comment and blank lines with multi-byte
+    characters, with separators or faults inside them, perhaps cut short
+    anywhere, inside a character too, then anything."""
     lead = "".join(draw(st.lists(st.sampled_from(
-        ("# " + "\u03c0" * 40 + "\n", "  # r\u00e9f\u00a0\n", "\n", " \u00a0\t\n")), max_size=3)))
+        ("# " + "\u03c0" * 40 + "\n", "  # r\u00e9f\u00a0\n", "\n", " \u00a0\t\n", "\r# c\r9\n")),
+        max_size=3)))
     body = list("3.1415926535")
     for _ in range(draw(st.integers(0, 2))):
         body.insert(draw(st.integers(1, len(body) - 1)),
                     draw(st.sampled_from((" ", "\u00a0", "\n", ".", "x", "\u03c0", "9"))))
     head = (lead + "".join(body)).encode()
-    tail = draw(st.sampled_from((b"", b"x", b"\nx", b"\xff", b"\xe2\x82", "\u00a0\u03c0\n".encode(),
-                                 b"8" * 9, b"\n# " + b"x" * 50)))
-    data = head + tail
-    cuts = draw(st.sets(st.integers(1, len(data) - 1))) | {len(head)}
-    return data, cuts
+    head = head[:draw(st.one_of(st.just(len(head)), st.integers(0, len(head))))]
+    tail = draw(st.sampled_from((b"", b"x", b"\nx", b"\xff", b"\xe2\x82",
+                                 "\u00a0\u03c0\n".encode(), b"8" * 9, b"\n# " + b"x" * 50)))
+    return head + tail
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fixture=split_fixtures())
-@example(fixture=(b"3.1415926535x", {12}))
-@example(fixture=(b"3.1415926535\nx", {12}))
+@given(fixture=drawn_fixtures())
+@example(fixture=b"3.1415926535x")
+@example(fixture=b"3.1415926535\nx")
+@example(fixture=b"# \xcf\n3.1415926535")
+@example(fixture=b"3.14\xff15926535")
 def test_fixture_verdict_does_not_depend_on_where_reads_end(fixture, monkeypatch, capsys):
-    # the same bytes give the same verdict read whole line by line or in
-    # any pieces, cut inside a comment line or a character or right after
-    # the last needed digit
-    data, cuts = fixture
-
-    def verdict(cuts):
-        handle = SplitFixture(data, cuts)
-        monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
-        return run_cli(["pi", "--digits", "10", "--fixture", "split"], capsys)
-
-    assert verdict(cuts) == verdict(())
+    # the one bounded read gives the verdict of a reader that takes the
+    # same bytes one line at a time, however the lines, characters and
+    # faults fall around the last needed digit
+    monkeypatch.setattr(cli, "open", lambda path, mode: io.BytesIO(fixture), raising=False)
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", "drawn"], capsys)
+    pi = "31415926535"
+    reference, undecodable = oracles.fixture_digits(fixture, len(pi))
+    bad = reference.lstrip("0123456789")[:1]
+    if undecodable is not None and not bad:
+        # the codec may give another reason: it sees the bytes past the line
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error: cannot read fixture: 'utf-8' codec can't decode "
+                            rf"(byte 0x..|bytes) in position {undecodable}(-\d+)?: .+\n", err)
+        return
+    if bad:
+        expected = (2, "", f"error: fixture drawn holds the non-digit {bad!r}\n")
+    elif not reference:
+        expected = (2, "", "error: fixture drawn contains no digits\n")
+    elif len(reference) < len(pi):
+        expected = (2, "", f"error: fixture drawn has only {len(reference)} digits, "
+                           f"output has 11\n")
+    elif reference != pi:
+        at = next(i for i, (a, b) in enumerate(zip(reference, pi)) if a != b)
+        expected = (1, "", f"fixture mismatch at digit {at} after the point: "
+                           f"fixture {reference[at]!r}, computed {pi[at]!r}\n")
+    else:
+        expected = (0, "3.1415926535\n", "")
+    assert (code, out, err) == expected
 
 
 @pytest.mark.parametrize(
@@ -772,7 +777,8 @@ def test_fixture_match(tmp_path, capsys):
 
 
 def test_fixture_comment_longer_than_a_read_piece(tmp_path, capsys):
-    # a comment line past 64 KiB is read in pieces and still skipped whole
+    # a comment line of 70,000 characters, far longer than the digits after
+    # it, is skipped whole within the one bounded read
     path = tmp_path / "pi.txt"
     path.write_text("  # " + "x" * 70000 + "\n3.14159 26535\n# 0000\n")
     code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)

@@ -125,6 +125,58 @@ def test_replace_runs_the_constructor_checks(record, field, bad):
     assert same == record and type(same) is type(record)
 
 
+# a valid record of each checked type
+CHECKED_RECORDS = (SeriesSpec(1, 4, 1, 4, 4), PrecisionContext(50, 10), FixedPoint(1, 5, 4),
+                   ErrorLedger(3))
+
+
+@pytest.mark.parametrize("bad", (2.0, True, "1", None), ids=("float", "bool", "str", "none"))
+@pytest.mark.parametrize("record", CHECKED_RECORDS, ids=lambda record: type(record).__name__)
+def test_every_record_field_must_be_an_int(record, bad):
+    cls = type(record)
+    for field in record._fields:
+        fields = {**record._asdict(), field: bad}
+        builds = (lambda: cls(**fields), lambda: record._replace(**{field: bad}),
+                  lambda: cls._make(fields.values()))
+        for build in builds:
+            with pytest.raises(TypeError, match=f"^{field} must be an int, got "):
+                build()
+
+
+@pytest.mark.parametrize("record", CHECKED_RECORDS, ids=lambda record: type(record).__name__)
+def test_a_field_below_its_bound_names_the_bound(record):
+    for field, least in zip(record._fields, type(record)._least):
+        message = f"^{field} must be at least {least}, got {least - 1}$"
+        with pytest.raises(ValueError, match=message):
+            record._replace(**{field: least - 1})
+
+
+SATURN_X1 = series_for_case(CaseId.X1, Component.SATURN)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    (
+        # a float weight would certify 26 digits of a value wrong from the 17th
+        (lambda: eval_series([(2.0, SATURN_X1)], PrecisionContext(20, 10)), "weight"),
+        (lambda: terms_needed(SATURN_X1, 2.5), "target_digits"),
+        (lambda: context_for([SATURN_X1], 2.5), "target_digits"),
+        (lambda: formulas.compare_convergence(2.5), "target_digits"),
+        (lambda: FixedPoint(1, 2.5, 3), "magnitude"),
+        (lambda: ErrorLedger(186.0), "ulps"),
+        (lambda: PrecisionContext(True, 10), "target_digits"),
+        # these two name their argument, not a failure inside Fraction or range
+        (lambda: consecutive_term_ratio(SATURN_X1, 1.5), "k"),
+        (lambda: fx_to_decimal_string(FixedPoint(1, 5, 4), ErrorLedger(0), 1.5), "want_digits"),
+    ),
+    ids=("eval_series", "terms_needed", "context_for", "compare_convergence", "FixedPoint",
+         "ErrorLedger", "PrecisionContext", "consecutive_term_ratio", "fx_to_decimal_string"),
+)
+def test_a_non_int_argument_is_refused_by_name(call, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
+        call()
+
+
 @pytest.mark.parametrize(
     "duplicate",
     (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))),
