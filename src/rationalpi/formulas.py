@@ -11,10 +11,10 @@ cross-check route through the classic Machin pair
 ``16*arctan(1/5) - 4*arctan(1/239)`` which shares only the fixed-point
 layer's mechanics and none of the series parameters.
 
-:data:`PI_FORMULAS` is the one table of routes: evaluation, planning, the
-cross-route agreement check and the command line all expand its weighted
-arctangents into the weighted case stacks and series that one
-:func:`eval_series` call per route sums.  :func:`compare_convergence`
+:data:`PI_FORMULAS` is the one table of routes, and ``_series`` the one
+rule that expands its weighted arctangents into series for evaluation,
+planning and the agreement check: :func:`compute_pi` hands a route to one
+:func:`sun` call, one :func:`eval_series` pass.  :func:`compare_convergence`
 quantifies how many terms each route needs per digit.
 """
 
@@ -99,15 +99,13 @@ def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec
     return parts
 
 
-def sun(case: CaseId | Iterable[tuple[int, CaseId]], ctx: PrecisionContext) -> EvalResult:
-    """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for a case,
-    or ``sum(weight * arctan(x/(2-x)))`` over weighted cases.
-
-    All the series of all the cases go to :func:`eval_series` as one stack,
-    so the cases of a pi route share one pass over their denominators.
-    """
-    cases = [(1, case)] if isinstance(case, CaseId) else case
-    return eval_series([part for weight, c in cases for part in _stack(c, weight)], ctx)
+def sun(case: CaseId | Iterable[tuple[int, Fraction]], ctx: PrecisionContext) -> EvalResult:
+    """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for one
+    case, or weighted arctangents ``[(coefficient, argument), ...]`` such
+    as a :data:`PI_FORMULAS` route, expanded by ``_series`` into one stack
+    that :func:`eval_series` sums in one pass; an argument with no series
+    raises ``ValueError``."""
+    return eval_series(_stack(case) if isinstance(case, CaseId) else _series(case), ctx)
 
 
 # the quartic 4 + x^4 and its two integer quadratic factors, low order first
@@ -153,17 +151,12 @@ def combined_series_specs() -> tuple[SeriesSpec, ...]:
 
 
 def compute_pi(formula_id: PiFormulaId, ctx: PrecisionContext) -> EvalResult:
-    """Assemble pi along the requested route.
-
-    CASE1 and COMBINED go through the arctangent decomposition, their cases
-    in one :func:`sun` call so that all their series share one pass; the
-    Machin route uses plain ``arctan(1/n)`` series so agreement between the
-    routes is meaningful.
+    """Assemble pi along the requested route: its weighted arctangents in
+    one :func:`sun` call.  CASE1 and COMBINED go through the arctangent
+    decomposition; the Machin route's plain ``arctan(1/n)`` series share
+    none of its parameters, so agreement between the routes is meaningful.
     """
-    terms = PI_FORMULAS[formula_id]
-    if all(arg in _CASE_OF_ARG for _, arg in terms):
-        return sun([(coeff, _CASE_OF_ARG[arg]) for coeff, arg in terms], ctx)
-    return eval_series(_series(terms), ctx)
+    return sun(PI_FORMULAS[formula_id], ctx)
 
 
 class IdentityCheck(namedtuple("IdentityCheck", "passed residual_ulps bound_ulps scale")):

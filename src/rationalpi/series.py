@@ -357,6 +357,7 @@ def context_for(specs: Iterable[SeriesSpec], target_digits: int) -> PrecisionCon
     10.  :func:`eval_series` still refuses a result whose certificate covers
     fewer than the target digits.
     """
+    _check_int("target_digits", target_digits, 1)
     probe = target_digits + 30
     ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in dict.fromkeys(specs))
     return PrecisionContext(target_digits, _ceil_log10(max(ops, 1)) + 10)

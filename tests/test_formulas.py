@@ -136,6 +136,37 @@ def test_compute_pi_component_term_counts():
     assert len(compute_pi(PiFormulaId.MACHIN_ORACLE, context_for_formula(PiFormulaId.MACHIN_ORACLE, 20)).component_terms) == 2
 
 
+@pytest.mark.parametrize("route", list(PiFormulaId))
+def test_every_route_takes_one_path(route, monkeypatch):
+    # each route's table entry goes to one sun call and one eval_series pass
+    calls = []
+
+    def spy(name, real):
+        def recording(*args):
+            calls.append(name)
+            return real(*args)
+
+        return recording
+
+    monkeypatch.setattr(formulas, "sun", spy("sun", formulas.sun))
+    monkeypatch.setattr(formulas, "eval_series", spy("eval_series", formulas.eval_series))
+    compute_pi(route, context_for_formula(route, 30))
+    assert calls == ["sun", "eval_series"]
+
+
+@pytest.mark.parametrize("route", list(PiFormulaId))
+def test_sun_of_a_route_is_compute_pi(route):
+    ctx = context_for_formula(route, 30)
+    by_sun, by_route = sun(PI_FORMULAS[route], ctx), compute_pi(route, ctx)
+    for field, got, want in zip(by_route._fields, by_sun, by_route):
+        assert got == want, field
+
+
+def test_sun_refuses_an_argument_with_no_series():
+    with pytest.raises(ValueError, match=r"^no series for arctan\(2/3\)$"):
+        sun([(1, Fraction(2, 3))], PrecisionContext(10, 10))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.sampled_from([*PiFormulaId, *CaseId]),
@@ -364,6 +395,56 @@ def test_routes_and_cases_equal_plain_integer_floor_sums(digits):
         value, certificate, counts = oracles.stack_floor_sum(paper_stack(x_den, 1), ctx.scale)
         assert (result.value.signed_units, result.error_ulps) == (value, certificate), case_id
         assert result.component_terms == counts, case_id
+
+
+# x_den of the case whose assembly evaluates each case argument x/(2-x)
+CASE_ARG_X_DEN = {Fraction(1): 1, Fraction(1, 3): 2, Fraction(1, 7): 4}
+ARCTAN_ARGS = st.one_of(
+    st.sampled_from(sorted(CASE_ARG_X_DEN)),
+    st.integers(2, 300).map(lambda n: Fraction(1, n)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    terms=st.lists(st.tuples(st.integers(-20, 20), ARCTAN_ARGS), min_size=1, max_size=4),
+    target=st.integers(5, 60),
+    guard=st.integers(0, 12),
+)
+def test_weighted_arctangents_equal_plain_integer_floor_sums(terms, target, guard):
+    # the stack is written out by hand: the paper's three series for a case
+    # argument, the plain arctan(1/n) series for any other 1/n
+    stack = []
+    for coeff, arg in terms:
+        if arg in CASE_ARG_X_DEN:
+            stack += paper_stack(CASE_ARG_X_DEN[arg], coeff)
+        else:
+            n = arg.denominator
+            stack.append((coeff, (1, n, 1, 2, n * n)))
+    ctx = PrecisionContext(target, guard)
+    value, certificate, counts = oracles.stack_floor_sum(stack, ctx.scale)
+    # the certificate covers the target when the error's decade, plus one
+    # forfeited digit, fits in the guard
+    covered = 10 ** (guard - 1) >= certificate + 1
+    try:
+        result = sun(terms, ctx)
+    except InsufficientPrecisionError:
+        assert not covered
+        return
+    assert covered
+    assert (result.value.signed_units, result.error_ulps) == (value, certificate)
+    assert result.component_terms == counts
+    lo = hi = Fraction(0)
+    for coeff, arg in terms:
+        if arg == 1:
+            arg_lo, arg_hi = oracles.atan_one_bracket(ctx.scale)
+        else:
+            arg_lo, arg_hi = oracles.atan_bracket(arg, ctx.scale)
+        lo += coeff * (arg_lo if coeff >= 0 else arg_hi)
+        hi += coeff * (arg_hi if coeff >= 0 else arg_lo)
+    exact = oracles.exact_value(result.value)
+    allowance = Fraction(certificate, 10**ctx.scale)
+    assert exact - allowance <= lo and hi <= exact + allowance
 
 
 @pytest.mark.parametrize("digits", ORACLE_DIGITS)

@@ -178,6 +178,22 @@ def test_a_non_int_argument_is_refused_by_name(call, name):
 
 
 @pytest.mark.parametrize(
+    "call",
+    (
+        # below -30 the planner's probe of target + 30 is itself below 1
+        lambda: context_for([SATURN_X1], -40),
+        lambda: formulas.context_for_formula(formulas.PiFormulaId.MACHIN_ORACLE, -40),
+        lambda: formulas.context_for_case(CaseId.X1, -40),
+        lambda: formulas.context_for_verify(-40),
+    ),
+    ids=("context_for", "context_for_formula", "context_for_case", "context_for_verify"),
+)
+def test_a_planner_names_the_callers_target(call):
+    with pytest.raises(ValueError, match="^target_digits must be at least 1, got -40$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "duplicate",
     (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))),
     ids=("copy", "deepcopy", "pickle"),
