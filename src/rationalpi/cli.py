@@ -9,11 +9,7 @@ else is byte-reproducible across runs.
 Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS`` and
 ``bench`` takes ``--repeat`` from 1 to ``MAX_REPEAT``: their argparse
 types refuse any other value before planning, so every request has a
-bounded cost.  ``pi --fixture`` reads its file up to a budget of
-``FIXTURE_BYTES`` plus ``FIXTURE_BYTES_PER_DIGIT`` bytes per output digit,
-or to its end, and refuses an unreadable file, a non-digit before the
-output's last digit, or too few digits within that prefix, before
-planning too.
+bounded cost.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -22,7 +18,6 @@ device or a closed stdout).
 
 import argparse
 import os
-import re
 import sys
 import time
 from decimal import Decimal
@@ -49,8 +44,6 @@ from .series import CaseId
 
 DEFAULT_MAX_DIGITS = 100_000
 MAX_REPEAT = 100
-FIXTURE_BYTES = 1 << 20
-FIXTURE_BYTES_PER_DIGIT = 8
 JSON_SCHEMA_VERSION = 1
 
 
@@ -68,8 +61,8 @@ def _count(cap: int):
 
 def _refuse(status: int, message: str) -> None:
     """Print ``message`` to stderr and exit with ``status``: 2 for an
-    argument error, 1 for a fixture mismatch, a route disagreement or a
-    precision failure, 3 for a closed stdout."""
+    argument error, 1 for a route disagreement or a precision failure, 3
+    for a closed stdout."""
     print(message, file=sys.stderr)
     raise SystemExit(status)
 
@@ -83,63 +76,15 @@ def _render_digits(result: EvalResult, digits: int) -> str:
     return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
 
 
-def _read_fixture(path: str, length: int) -> str:
-    """The first ``length`` digits of the fixture file, read before any
-    planning from its first ``FIXTURE_BYTES + FIXTURE_BYTES_PER_DIGIT *
-    length`` bytes, the budget, or from all of it if it is shorter.
-    Whitespace, '.' and '#' comment lines, which end only at a '\\n', are
-    skipped.  Refused at an undecodable byte or a non-digit before the
-    ``length``-th digit, or if the budget or the file holds fewer digits;
-    nothing after that digit counts, so one read decides every file, an
-    endless one too."""
-    limit = FIXTURE_BYTES + FIXTURE_BYTES_PER_DIGIT * length
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read(limit)
-    except OSError as exc:
-        _refuse(2, f"error: cannot read fixture: {exc}")
-    try:
-        text, error = data.decode(), None
-    except UnicodeDecodeError as exc:
-        # the characters before the undecodable bytes may complete the digits
-        text, error = data[:exc.start].decode(), exc
-    # comment lines go, then whitespace and '.': what is left up to the
-    # last needed digit is the reference
-    reference = "".join(re.sub(r"(?m)^[^\S\n]*#.*", "", text).split()).replace(".", "")[:length]
-    if bad := reference.lstrip("0123456789")[:1]:
-        _refuse(2, f"error: fixture {path} holds the non-digit {bad!r}")
-    if len(reference) < length:
-        # a character cut at the end of a full read is the budget's refusal
-        if error and error.end < limit:
-            _refuse(2, f"error: cannot read fixture: {error}")
-        if len(data) == limit:
-            _refuse(2, f"error: fixture {path} has only {len(reference)} digits in its "
-                       f"first {limit} bytes, output has {length}")
-        if not reference:
-            _refuse(2, f"error: fixture {path} contains no digits")
-        _refuse(2, f"error: fixture {path} has only {len(reference)} digits, output has {length}")
-    return reference
-
-
-def _value_command(
-    args: argparse.Namespace, method: str, key, plan, evaluate, reference: str | None = None
-) -> int:
-    """Plan, evaluate and render one value, refuse with status 1 unless its
-    digits are the ``reference`` digits if given, then print the digits or
-    the schema-1 JSON report.  Callers pass ``plan`` and ``evaluate`` from
+def _value_command(args: argparse.Namespace, method: str, key, plan, evaluate) -> int:
+    """Plan, evaluate and render one value, then print the digits or the
+    schema-1 JSON report.  Callers pass ``plan`` and ``evaluate`` from
     this module's bindings at each call, so a wrapper bound in their place
     sees every request."""
     t0 = time.perf_counter()
     result = evaluate(key, plan(key, args.digits))
     value = _render_digits(result, args.digits)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    if reference is not None:
-        computed = value.replace(".", "")
-        if reference != computed:
-            position = _first_difference(reference, computed)
-            # position 0 is the integer digit
-            _refuse(1, f"fixture mismatch at digit {position} after the point: "
-                       f"fixture {reference[position]!r}, computed {computed[position]!r}")
     if args.json:
         # imported on the JSON paths only: plain output never needs it
         import json
@@ -159,10 +104,8 @@ def _value_command(
 
 
 def cmd_pi(args: argparse.Namespace) -> int:
-    # the output is "3." and the digits: one digit more than --digits
-    reference = None if args.fixture is None else _read_fixture(args.fixture, args.digits + 1)
     return _value_command(args, args.method, PiFormulaId(args.method), context_for_formula,
-                          compute_pi, reference)
+                          compute_pi)
 
 
 def cmd_arctan(args: argparse.Namespace) -> int:
@@ -267,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi.add_argument("--method", choices=[f.value for f in PiFormulaId], default="combined",
                       help="assembly route (default: combined)")
     p_pi.add_argument("--json", action="store_true", help="emit the full JSON report")
-    p_pi.add_argument("--fixture", metavar="PATH",
-                      help="reference digit file to diff against (whitespace and "
-                           "'#' comment lines ignored); mismatch exits 1")
     p_pi.set_defaults(func=cmd_pi)
 
     p_at = sub.add_parser("arctan", help="compute an arctangent value")
@@ -322,7 +262,7 @@ def entrypoint() -> None:
             status = main()
         finally:
             sys.stdout.flush()
-    except OSError as exc:  # main handles the other one it meets, an unreadable fixture
+    except OSError as exc:  # a failed write: main reads no files
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         # the interpreter flushes stdout again at exit; as the signal

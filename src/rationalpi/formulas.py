@@ -25,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 
-from .fixedpoint import PrecisionContext
+from .fixedpoint import PrecisionContext, _check_int
 from .series import (
     CaseId,
     Component,
@@ -90,6 +90,7 @@ def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec
     and 1/7, otherwise the plain ``arctan(1/n)`` series."""
     parts = []
     for coeff, arg in terms:
+        _check_int("coefficient", coeff)
         if arg in _CASE_OF_ARG:
             parts += _stack(_CASE_OF_ARG[arg], coeff)
         elif arg.numerator == 1:
@@ -104,7 +105,8 @@ def sun(case: CaseId | Iterable[tuple[int, Fraction]], ctx: PrecisionContext) ->
     case, or weighted arctangents ``[(coefficient, argument), ...]`` such
     as a :data:`PI_FORMULAS` route, expanded by ``_series`` into one stack
     that :func:`eval_series` sums in one pass; an argument with no series
-    raises ``ValueError``."""
+    raises ``ValueError`` and a coefficient that is not an ``int``
+    ``TypeError``."""
     return eval_series(_stack(case) if isinstance(case, CaseId) else _series(case), ctx)
 
 

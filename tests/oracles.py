@@ -149,31 +149,3 @@ def stack_floor_sum(
         counts.append(n)
     return value, certificate, tuple(counts)
 
-
-# --- fixture files, read line by line ------------------------------------------
-
-
-def fixture_digits(data: bytes, length: int) -> tuple[str, int | None]:
-    """The first ``length`` characters of a fixture's digit text, read one
-    line at a time, and the file offset of its first undecodable byte if
-    reading stopped there first.
-
-    Lines end only at ``b"\\n"``.  A line whose first non-whitespace
-    character is '#' is a comment; in every other line whitespace and '.'
-    are skipped and every other character counts, a non-digit too.
-    """
-    kept = []
-    offset = 0
-    for line in data.split(b"\n"):
-        try:
-            text, undecodable = line.decode(), None
-        except UnicodeDecodeError as exc:
-            text, undecodable = line[:exc.start].decode(), offset + exc.start
-        if not text.lstrip().startswith("#"):
-            kept.extend(c for c in text if not c.isspace() and c != ".")
-        if len(kept) >= length:
-            return "".join(kept[:length]), None
-        if undecodable is not None:
-            return "".join(kept), undecodable
-        offset += len(line) + 1
-    return "".join(kept), None

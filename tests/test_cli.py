@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rationalpi import cli, formulas
 from rationalpi.cli import main
@@ -79,6 +79,15 @@ def test_pi_methods_agree_byte_for_byte(capsys):
     assert len(outputs) == 1
 
 
+def test_pi_emission_beyond_interpreter_str_cap(capsys):
+    # digit counts past CPython's default 4300-digit int/str conversion
+    # limit must still emit
+    code, out, _ = run_cli(["pi", "--digits", "5000", "--method", "combined"], capsys)
+    assert code == 0
+    assert len(out) == 5003  # "3." + 5000 digits + newline
+    assert out.startswith("3.14159265358979323846264338327950288419716939937510")
+
+
 # --- exit-code contract -----------------------------------------------------------
 
 
@@ -104,6 +113,13 @@ def test_pi_methods_agree_byte_for_byte(capsys):
 def test_argument_errors_exit_two(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+def test_fixture_option_is_removed(capsys):
+    # digits are checked against a reference by piping them into cmp
+    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", "x"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --fixture x" in err
 
 
 class PlanningReached(Exception):
@@ -165,202 +181,6 @@ def test_verify_checks_every_digit_count(digits, capsys):
     assert len(lines) == 5 and all(line.startswith("PASS  ") for line in lines)
 
 
-@pytest.mark.parametrize(
-    "text,message",
-    (
-        (None, "error: cannot read fixture: [Errno 2] No such file or directory: '{path}'"),
-        ("# no digits here\n", "error: fixture {path} contains no digits"),
-        ("3.14\n", "error: fixture {path} has only 3 digits, output has 20001"),
-        # long enough for the length check, but no digits to compare with
-        ("x" * 20001, "error: fixture {path} holds the non-digit 'x'"),
-    ),
-    ids=("missing", "no-digits", "too-short", "non-digit"),
-)
-def test_fixture_refuses_before_planning(text, message, tmp_path, planning_blocked, capsys):
-    path = tmp_path / "ref.txt"
-    if text is not None:
-        path.write_text(text)
-    argv = ["pi", "--digits", "20000", "--method", "case1", "--fixture", str(path)]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out, err) == (2, "", message.format(path=path) + "\n")
-    # a fixture with enough digits goes on to plan; only the comparison waits
-    path.write_text("3." + "1" * 20000)
-    with pytest.raises(PlanningReached):
-        main(argv)
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-def test_endless_fixture_refuses_at_its_first_non_digit(planning_blocked, capsys):
-    # read whole, an endless file would grow until memory runs out
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", "/dev/zero"], capsys)
-    assert (code, out, err) == (2, "", "error: fixture /dev/zero holds the non-digit '\\x00'\n")
-
-
-@pytest.mark.parametrize(
-    "tail,detail",
-    (
-        (b"\xff\n", "byte 0xff in position 70002: invalid start byte"),
-        (b"\xe2\x82", "bytes in position 70002-70003: unexpected end of data"),
-    ),
-    ids=("invalid-byte", "truncated"),
-)
-def test_undecodable_fixture_names_the_file_position(tail, detail, tmp_path, capsys):
-    # an undecodable byte 70,002 bytes into the file, after a long comment
-    # line, is named by its position counted from the start of the file
-    path = tmp_path / "ref.txt"
-    path.write_bytes(b"#" + b"x" * 70000 + b"\n" + tail)
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: cannot read fixture: 'utf-8' codec can't decode {detail}\n"
-
-
-class EndlessFixture(io.BytesIO):
-    """A fixture file whose reads never run dry: ``head``, then ``line``
-    forever, recording the sizes asked for."""
-
-    def __init__(self, head: bytes, line: bytes):
-        super().__init__()
-        self.head, self.line, self.sizes = head, line, []
-
-    def read(self, size):
-        self.sizes.append(size)
-        return (self.head + self.line * (size // len(self.line) + 1))[:size]
-
-
-def _fixture_budget(digits: int) -> int:
-    # the output has one digit more than --digits: "3." and the digits
-    return cli.FIXTURE_BYTES + cli.FIXTURE_BYTES_PER_DIGIT * (digits + 1)
-
-
-_NO_DIGITS_IN_BUDGET = (2, "", f"error: fixture endless has only 0 digits in its first "
-                               f"{_fixture_budget(10)} bytes, output has 11\n")
-
-
-@pytest.mark.parametrize(
-    "head,line,result",
-    (
-        # printf '3.1415926535\n'; yes 8
-        (b"3.1415926535\n", b"8\n", (0, "3.1415926535\n", "")),
-        # 13 bytes, then 2-byte no-break spaces: the budget is even, so the
-        # read ends inside a character, after the digits
-        (b"3.1415926535\n", "\u00a0".encode(), (0, "3.1415926535\n", "")),
-        # yes 1
-        (b"1\n", b"1\n",
-         (1, "", "fixture mismatch at digit 0 after the point: fixture '1', computed '3'\n")),
-        # yes '' and yes '# c': no digit comes, and the budget ends the read
-        (b"", b"\n", _NO_DIGITS_IN_BUDGET),
-        (b"", b"# c\n", _NO_DIGITS_IN_BUDGET),
-        # the budget, not the file, cuts the last no-break space
-        (b"\n", "\u00a0".encode(), _NO_DIGITS_IN_BUDGET),
-    ),
-    ids=("pi-then-8s", "cut-character", "ones", "blank-lines", "comment-lines",
-         "cut-character-without-digits"),
-)
-def test_endless_fixture_of_digits_is_read_to_the_needed_digits(
-    head, line, result, monkeypatch, capsys
-):
-    # read to its end, such a fixture would never return
-    handle = EndlessFixture(head, line)
-    monkeypatch.setattr(cli, "open", lambda path, mode: handle, raising=False)
-    assert run_cli(["pi", "--digits", "10", "--fixture", "endless"], capsys) == result
-    assert handle.sizes and all(0 <= size <= _fixture_budget(10) for size in handle.sizes)
-
-
-@pytest.mark.parametrize(
-    "pad,result",
-    (
-        # the last digit is the last byte of the budget
-        (-12, (0, "3.1415926535\n", "")),
-        # the last digit is the first byte past it
-        (-11, (2, "", "error: fixture {path} has only 10 digits in its first {budget} "
-                      "bytes, output has 11\n")),
-        # and so is the first digit
-        (0, (2, "", "error: fixture {path} has only 0 digits in its first {budget} "
-                    "bytes, output has 11\n")),
-    ),
-    ids=("last-digit-inside", "last-digit-past", "first-digit-past"),
-)
-def test_fixture_digits_count_only_within_the_budget(pad, result, tmp_path, capsys):
-    budget = _fixture_budget(10)
-    path = tmp_path / "ref.txt"
-    path.write_bytes(b"\n" * (budget + pad) + b"3.1415926535\n# more\n")
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
-    assert (code, out, err) == (result[0], result[1], result[2].format(path=path, budget=budget))
-
-
-@st.composite
-def drawn_fixtures(draw):
-    """pi's first ten digits after comment and blank lines with multi-byte
-    characters, with separators or faults inside them, perhaps cut short
-    anywhere, inside a character too, then anything."""
-    lead = "".join(draw(st.lists(st.sampled_from(
-        ("# " + "\u03c0" * 40 + "\n", "  # r\u00e9f\u00a0\n", "\n", " \u00a0\t\n", "\r# c\r9\n")),
-        max_size=3)))
-    body = list("3.1415926535")
-    for _ in range(draw(st.integers(0, 2))):
-        body.insert(draw(st.integers(1, len(body) - 1)),
-                    draw(st.sampled_from((" ", "\u00a0", "\n", ".", "x", "\u03c0", "9"))))
-    head = (lead + "".join(body)).encode()
-    head = head[:draw(st.one_of(st.just(len(head)), st.integers(0, len(head))))]
-    tail = draw(st.sampled_from((b"", b"x", b"\nx", b"\xff", b"\xe2\x82",
-                                 "\u00a0\u03c0\n".encode(), b"8" * 9, b"\n# " + b"x" * 50)))
-    return head + tail
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fixture=drawn_fixtures())
-@example(fixture=b"3.1415926535x")
-@example(fixture=b"3.1415926535\nx")
-@example(fixture=b"# \xcf\n3.1415926535")
-@example(fixture=b"3.14\xff15926535")
-def test_fixture_verdict_does_not_depend_on_where_reads_end(fixture, monkeypatch, capsys):
-    # the one bounded read gives the verdict of a reader that takes the
-    # same bytes one line at a time, however the lines, characters and
-    # faults fall around the last needed digit
-    monkeypatch.setattr(cli, "open", lambda path, mode: io.BytesIO(fixture), raising=False)
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", "drawn"], capsys)
-    pi = "31415926535"
-    reference, undecodable = oracles.fixture_digits(fixture, len(pi))
-    bad = reference.lstrip("0123456789")[:1]
-    if undecodable is not None and not bad:
-        # the codec may give another reason: it sees the bytes past the line
-        assert (code, out) == (2, "")
-        assert re.fullmatch(rf"error: cannot read fixture: 'utf-8' codec can't decode "
-                            rf"(byte 0x..|bytes) in position {undecodable}(-\d+)?: .+\n", err)
-        return
-    if bad:
-        expected = (2, "", f"error: fixture drawn holds the non-digit {bad!r}\n")
-    elif not reference:
-        expected = (2, "", "error: fixture drawn contains no digits\n")
-    elif len(reference) < len(pi):
-        expected = (2, "", f"error: fixture drawn has only {len(reference)} digits, "
-                           f"output has 11\n")
-    elif reference != pi:
-        at = next(i for i, (a, b) in enumerate(zip(reference, pi)) if a != b)
-        expected = (1, "", f"fixture mismatch at digit {at} after the point: "
-                           f"fixture {reference[at]!r}, computed {pi[at]!r}\n")
-    else:
-        expected = (0, "3.1415926535\n", "")
-    assert (code, out, err) == expected
-
-
-@pytest.mark.parametrize(
-    "text,result",
-    (
-        ("3.1415926535x", (0, "3.1415926535\n", "")),
-        ("3.1415926535\nx", (0, "3.1415926535\n", "")),
-        ("3.14x5926535", (2, "", "error: fixture {path} holds the non-digit 'x'\n")),
-    ),
-    ids=("after-the-digits", "line-after-the-digits", "among-the-digits"),
-)
-def test_fixture_is_examined_up_to_its_last_needed_digit(text, result, tmp_path, capsys):
-    path = tmp_path / "ref.txt"
-    path.write_text(text)
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
-    assert (code, out, err) == (result[0], result[1], result[2].format(path=path))
-
-
 def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rationalpi", "pi", "--digits", "10"])
     monkeypatch.setattr(sys, "stdout", None)
@@ -368,6 +188,20 @@ def test_closed_stdout_exits_three_before_planning(planning_blocked, monkeypatch
         cli.entrypoint()
     assert info.value.code == 3
     assert capsys.readouterr().err == "error: cannot write output: standard output is closed\n"
+
+
+def test_closed_pipe_exits_three_silently_in_process(monkeypatch, capsys):
+    # run in this process, so it checks the package the tests import, into a
+    # pipe whose reader is gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    monkeypatch.setattr(sys, "argv", ["rationalpi", "pi", "--digits", "10"])
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as info:
+            cli.entrypoint()
+    assert info.value.code == 3
+    assert capsys.readouterr().err == ""
 
 
 def test_happy_paths_exit_zero(capsys):
@@ -760,73 +594,6 @@ GOLDEN_COMPARE_128 = {
 def test_compare_golden(fmt, capsys):
     code, out, _ = run_cli(["compare", "--digits", "128", "--format", fmt], capsys)
     assert (code, out) == (0, GOLDEN_COMPARE_128[fmt])
-
-
-# --- fixtures ---------------------------------------------------------------------
-
-
-def test_fixture_match(tmp_path, capsys):
-    reference = oracles.truncated_digits(oracles.pi_bracket(60), 50)
-    path = tmp_path / "pi50.txt"
-    path.write_text(f"# reference digits\n{reference[:20]}\n  {reference[20:]}\n")
-    code, out, _ = run_cli(
-        ["pi", "--digits", "40", "--fixture", str(path)], capsys
-    )
-    assert code == 0
-    assert out.startswith("3.14159")
-
-
-def test_fixture_comment_longer_than_a_read_piece(tmp_path, capsys):
-    # a comment line of 70,000 characters, far longer than the digits after
-    # it, is skipped whole within the one bounded read
-    path = tmp_path / "pi.txt"
-    path.write_text("  # " + "x" * 70000 + "\n3.14159 26535\n# 0000\n")
-    code, out, err = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
-    assert (code, out, err) == (0, "3.1415926535\n", "")
-
-
-def test_fixture_mismatch_exits_one(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("3.15\n")
-    code, out, err = run_cli(["pi", "--digits", "2", "--fixture", str(path)], capsys)
-    # counted after the point, as bench counts a route disagreement
-    assert (code, out, err) == (
-        1, "", "fixture mismatch at digit 2 after the point: fixture '5', computed '4'\n"
-    )
-
-
-def test_fixture_too_short_is_an_argument_error(tmp_path, capsys):
-    path = tmp_path / "short.txt"
-    path.write_text("3.14\n")
-    code, _, _ = run_cli(["pi", "--digits", "10", "--fixture", str(path)], capsys)
-    assert code == 2
-
-
-def test_fixture_missing_file(tmp_path, capsys):
-    code, _, _ = run_cli(
-        ["pi", "--digits", "5", "--fixture", str(tmp_path / "absent.txt")], capsys
-    )
-    assert code == 2
-
-
-def test_fixture_not_utf8_is_an_argument_error(tmp_path, capsys):
-    # an undecodable file is unusable, like a missing one: exit 2, not a
-    # traceback with exit 1, which would read as a digit mismatch
-    path = tmp_path / "utf16.txt"
-    path.write_bytes(b"\xff\xfe3\x00.\x001\x00")
-    code, out, err = run_cli(["pi", "--digits", "5", "--fixture", str(path)], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: cannot read fixture: ")
-
-
-def test_pi_emission_beyond_interpreter_str_cap(capsys):
-    # digit counts past CPython's default 4300-digit int/str conversion
-    # limit must still emit
-    code, out, _ = run_cli(["pi", "--digits", "5000", "--method", "combined"], capsys)
-    assert code == 0
-    assert len(out) == 5003  # "3." + 5000 digits + newline
-    assert out.startswith("3.14159265358979323846264338327950288419716939937510")
 
 
 # --- black box through the real interpreter ----------------------------------------

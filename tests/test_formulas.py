@@ -167,6 +167,13 @@ def test_sun_refuses_an_argument_with_no_series():
         sun([(1, Fraction(2, 3))], PrecisionContext(10, 10))
 
 
+@pytest.mark.parametrize("arg", (Fraction(1, 3), Fraction(1, 5)), ids=("case", "recip"))
+def test_sun_refuses_a_bool_coefficient_on_every_argument(arg):
+    # a case argument once multiplied True into its stack's int weights
+    with pytest.raises(TypeError, match="^coefficient must be an int, got bool$"):
+        sun([(True, arg)], PrecisionContext(10, 10))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.sampled_from([*PiFormulaId, *CaseId]),

@@ -177,6 +177,11 @@ def test_a_non_int_argument_is_refused_by_name(call, name):
         call()
 
 
+def test_want_digits_below_zero_names_the_bound():
+    with pytest.raises(ValueError, match="^want_digits must be at least 0, got -1$"):
+        fx_to_decimal_string(FixedPoint(1, 5, 4), ErrorLedger(0), -1)
+
+
 @pytest.mark.parametrize(
     "call",
     (
