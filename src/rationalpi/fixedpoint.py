@@ -155,9 +155,10 @@ class PrecisionContext(_Checked, namedtuple("PrecisionContext", "target_digits g
     """Working precision: ``target_digits`` the caller wants certified plus
     ``guard_digits`` that hold the certificate below the target's last place.
 
-    :func:`rationalpi.series.context_for` sizes the guard.  Any guard of 0
+    :func:`rationalpi.series.context_for` sizes the guard from the
+    evaluator's certificate, the package's one error rule.  Any guard of 0
     or more is accepted here: a context too small for its target is refused
-    from the evaluator's certificate.  Every way of building one,
+    from that same certificate.  Every way of building one,
     ``_replace`` included, runs the checks.
     """
 

@@ -264,17 +264,17 @@ def compare_convergence(target_digits: int) -> list[ComparisonRow]:
 
 def context_for_case(case: CaseId, target_digits: int) -> PrecisionContext:
     """Context sized for one arctangent assembly."""
-    return context_for((spec for _, spec in _stack(case)), target_digits)
+    return context_for(_stack(case), target_digits)
 
 
 def context_for_formula(formula_id: PiFormulaId, target_digits: int) -> PrecisionContext:
     """Context sized for one pi route at one digit target."""
-    return context_for((spec for _, spec in _series(PI_FORMULAS[formula_id])), target_digits)
+    return context_for(_series(PI_FORMULAS[formula_id]), target_digits)
 
 
 def context_for_verify(target_digits: int) -> PrecisionContext:
-    """Context wide enough for the identity and all cross-route checks: the
-    identity's series are all among those of the ``case1`` and ``combined``
-    routes, so planning the routes plans it too."""
+    """Context for the identity and all cross-route checks: the three routes
+    planned as one stack, whose certificate is the sum of theirs, so each
+    route certifies the target and the identity is read off two of them."""
     terms = [term for terms in PI_FORMULAS.values() for term in terms]
-    return context_for((spec for _, spec in _series(terms)), target_digits)
+    return context_for(_series(terms), target_digits)

@@ -48,10 +48,10 @@ pass or on the interpreter's digit size.
 
 Term counts are fixed up front by :func:`terms_needed` against the full
 working scale, which pushes the series remainder below one working ulp.
-The evaluator's certificate is the package's only error count: one ulp per
-truncating division of the term-by-term algorithm plus one for the
-remainder, whichever way the terms were stored.  It depends only on the
-term counts and is proved in :func:`eval_series`.
+The package has one error rule, ``_certify``: ``ceil(N/2) + 1`` ulps per
+series of ``N`` terms, for the floored terms and the remainder however they
+were stored.  :func:`eval_series` proves it and refuses from it, and
+:func:`context_for` sizes the guard from it.
 """
 
 import enum
@@ -151,18 +151,11 @@ def series_for_case(case: CaseId, component: Component) -> SeriesSpec:
 
 
 class EvalResult(
-    namedtuple(
-        "EvalResult",
-        "value terms_used error_ulps guaranteed_digits component_terms",
-        defaults=((),),
-    )
+    namedtuple("EvalResult", "value terms_used error_ulps guaranteed_digits component_terms")
 ):
-    """A certified evaluation: value, cost and error budget.
-
-    ``error_ulps`` is the certificate: it covers the truncating divisions
-    and the series remainder together.  ``component_terms`` lists
-    per-series term counts when the result combines several series.
-    """
+    """A certified evaluation: value, cost and error budget.  ``error_ulps``
+    is the certificate, for the floored terms and the remainders together;
+    ``component_terms`` lists each series' term count, ``terms_used`` their sum."""
 
     __slots__ = ()
 
@@ -194,6 +187,20 @@ def terms_needed(spec: SeriesSpec, target_digits: int) -> int:
     return n
 
 
+def _certify(stack: Iterable[tuple[int, SeriesSpec]], scale: int) -> tuple[list[int], int]:
+    """Term counts ``N_i`` of a weighted stack planned at ``scale``, at least
+    one each, and its certificate ``sum(|weight_i| * (ceil(N_i/2) + 1))`` in
+    ulps at that scale, proved in :func:`eval_series`."""
+    planned, ulps = [], 0
+    for weight, spec in stack:
+        # a float weight would round the sum and break the certificate
+        _check_int("weight", weight)
+        n = max(1, terms_needed(spec, scale))
+        planned.append(n)
+        ulps += abs(weight) * ((n + 1) // 2 + 1)
+    return planned, ulps
+
+
 def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) -> EvalResult:
     """Evaluate ``sum(weight * series)`` at the context's working scale.
 
@@ -207,16 +214,15 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     one-digit divisors where they can, and both store the same terms, so the
     value depends neither on which series share a pass nor on the folding.
 
-    The certificate charges ``2*N_i + 1`` ulps per series: one per division
-    of the term-by-term algorithm, which divides the prefactor once, each
-    of the ``N_i`` powers by ``d_k`` and each of the ``N_i - 1`` next powers
-    by ``q_den``, plus one for the remainder.  It is sound because each
-    stored term is the floor of its exact value and so below it by less
-    than one ulp: the ``N_i`` stored terms miss the exact partial sum by
-    less than ``N_i`` ulps, and the remainder after them is below one ulp
-    because ``N_i`` is planned against the full scale.  Sums and products by
-    the integer weights are exact, so
-    ``error_ulps = sum(|weight_i| * (2*N_i + 1))``.
+    The certificate, from ``_certify``, is
+    ``error_ulps = sum(|weight_i| * (ceil(N_i/2) + 1))``.  Stored term ``k``
+    is ``t_k - f_k`` for its exact value ``t_k`` and some ``f_k`` in
+    ``[0, 1)`` ulps.  The signs alternate, so stored minus exact partial sum
+    is ``sum_odd f_k - sum_even f_k``, strictly between ``-ceil(N/2)`` and
+    ``floor(N/2)``.  The remainder has the sign of term ``N`` and is below
+    one ulp, as ``N`` is planned against the full scale: it lifts the upper
+    end to ``ceil(N/2)`` for odd ``N`` and lowers the lower end by one for
+    even ``N``, which alone needs the ``+ 1``.  Integer weights are exact.
 
     That certificate depends only on the planned ``N_i``, so it is known
     before any term is summed: :class:`InsufficientPrecisionError` is raised
@@ -224,12 +230,8 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     returned result always certifies at least that many.
     """
     stack = list(specs)
-    for weight, _ in stack:
-        # a float weight would round the sum and break the certificate
-        _check_int("weight", weight)
     scale = ctx.scale
-    planned = [max(1, terms_needed(spec, scale)) for _, spec in stack]
-    error_ulps = sum(abs(weight) * (2 * n + 1) for (weight, _), n in zip(stack, planned))
+    planned, error_ulps = _certify(stack, scale)
     guaranteed = guaranteed_digit_count(scale, error_ulps)
     if guaranteed < ctx.target_digits:
         raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
@@ -346,18 +348,15 @@ def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
     return Fraction(spec.denominator(k), spec.q_den * spec.denominator(k + 1))
 
 
-def context_for(specs: Iterable[SeriesSpec], target_digits: int) -> PrecisionContext:
-    """Precision context sized for evaluating the given series jointly; the
-    package's one guard-digit rule.
-
-    Each distinct series is counted once, however often it is listed, as
-    ``2 * (N + 2)`` operations, with ``N`` planned at a probe of
-    ``target_digits + 30`` so the count is an overestimate, never an
-    undercount.  The guard is ``ceil(log10(ops))`` digits plus a margin of
-    10.  :func:`eval_series` still refuses a result whose certificate covers
-    fewer than the target digits.
+def context_for(specs: Iterable[tuple[int, SeriesSpec]], target_digits: int) -> PrecisionContext:
+    """Precision context for the weighted stack ``[(weight, spec), ...]``
+    that :func:`eval_series` takes, at ``target_digits``: the smallest guard
+    for which the evaluator's certificate, planned at ``target_digits + 30``
+    and so never below the one it charges, certifies 8 digits past the
+    target (:func:`guaranteed_digit_count` read backwards).  The 8 spare
+    digits make it rare for the certified interval to straddle a boundary
+    of the target's last digit.
     """
     _check_int("target_digits", target_digits, 1)
-    probe = target_digits + 30
-    ops = sum(2 * (terms_needed(spec, probe) + 2) for spec in dict.fromkeys(specs))
-    return PrecisionContext(target_digits, _ceil_log10(max(ops, 1)) + 10)
+    _, ulps = _certify(specs, target_digits + 30)
+    return PrecisionContext(target_digits, _ceil_log10(ulps + 1) + 1 + 8)

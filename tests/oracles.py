@@ -132,7 +132,7 @@ def stack_floor_sum(
 
     Series i sums ``N_i = max(1, brute_terms_needed(..., scale))`` terms,
     each truncated to ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` ulps.
-    Returns ``sum(w * sum((-1)^k * term_k))``, ``sum(|w| * (2*N_i + 1))``
+    Returns ``sum(w * sum((-1)^k * term_k))``, ``sum(|w| * (ceil(N_i/2) + 1))``
     and the ``N_i``.
     """
     value = certificate = 0
@@ -145,7 +145,7 @@ def stack_floor_sum(
             term = numerator // (pd * q_den**k * (offset + step * k))
             partial += -term if k & 1 else term
         value += weight * partial
-        certificate += abs(weight) * (2 * n + 1)
+        certificate += abs(weight) * (-(-n // 2) + 1)
         counts.append(n)
     return value, certificate, tuple(counts)
 

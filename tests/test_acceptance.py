@@ -164,7 +164,7 @@ def test_criterion_6_error_ledger_soundness():
             rng.randrange(2, 2001),
         )
         digits = rng.randrange(5, 41)
-        ctx = context_for([spec], digits)
+        ctx = context_for([(1, spec)], digits)
         result = eval_series([(1, spec)], ctx)
         partial = oracles.series_partial_sum(
             spec.prefactor_num,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rationalpi
 from rationalpi import cli, formulas
 from rationalpi.cli import main
 from rationalpi.fixedpoint import FixedPoint
@@ -253,10 +254,10 @@ def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
 
 VERIFY_50 = """\
 PASS  factorization 4+x^4: coefficients (4, 0, 0, 0, 1)
-PASS  arctan identity: residual 4 ulps <= bound 1918 ulps (scale 64)
-PASS  pi case1 vs combined: diff 16 ulps <= bound 7672 ulps
-PASS  pi case1 vs machin: diff 0 ulps <= bound 5592 ulps
-PASS  pi combined vs machin: diff 16 ulps <= bound 5144 ulps
+PASS  arctan identity: residual 10 ulps <= bound 490 ulps (scale 63)
+PASS  pi case1 vs combined: diff 40 ulps <= bound 1960 ulps
+PASS  pi case1 vs machin: diff 28 ulps <= bound 1420 ulps
+PASS  pi combined vs machin: diff 12 ulps <= bound 1340 ulps
 """
 
 
@@ -265,8 +266,8 @@ def test_verify_fault_injection_exits_one(jupiter_fault, capsys):
     assert code == 1
     assert out.splitlines()[1] == (
         "FAIL  arctan identity: residual "
-        "1243549945467614350313548491638710255731701917698040899151141192 ulps "
-        "<= bound 1918 ulps (scale 64)"
+        "124354994546761435031354849163871025573170191769804089915114110 ulps "
+        "<= bound 490 ulps (scale 63)"
     )
 
 
@@ -420,51 +421,52 @@ def test_arctan_json_report(capsys):
 
 
 # (guaranteed_digits, terms_used, error_ulps) of the --json report per
-# request.  Sizing the guard from weight-folded prefactors would add a guard
-# digit to case1 at 72 digits and to machin at 21 and 508, so these counts
-# also pin the planning rule: each series counted once at its own prefactor.
+# request.  The odd term counts pin the certificate's ceil(N/2) + 1 ulps per
+# series: floor(N/2) + 1 is sound too, so only these counts tell the two
+# apart.  Every guaranteed count is 8 or 9 past the request, the spare
+# digits of the guard rule.
 GOLDEN_REPORTS = {
     ("pi", "case1"): {
-        1: (10, [20, 20, 20], 820),
-        21: (29, [52, 52, 52], 2100),
-        72: (80, [136, 136, 136], 5460),
-        128: (137, [230, 230, 230], 9220),
-        508: (516, [861, 861, 861], 34460),
+        1: (9, [18, 18, 18], 200),
+        21: (29, [50, 50, 50], 520),
+        72: (80, [136, 136, 136], 1380),
+        128: (136, [229, 229, 229], 2320),
+        508: (516, [859, 859, 859], 8620),
     },
     ("pi", "combined"): {
-        1: (10, [7, 7, 7, 4, 4, 4], 780),
-        21: (29, [18, 18, 17, 11, 11, 10], 1916),
-        72: (80, [46, 46, 45, 28, 27, 27], 4820),
-        128: (136, [77, 77, 76, 46, 46, 46], 8044),
-        508: (516, [287, 287, 287, 173, 172, 172], 29916),
+        1: (9, [6, 6, 6, 4, 4, 4], 220),
+        21: (29, [17, 17, 17, 11, 10, 10], 528),
+        72: (80, [46, 46, 45, 28, 27, 27], 1260),
+        128: (136, [77, 77, 76, 46, 46, 46], 2072),
+        508: (516, [287, 287, 286, 172, 172, 172], 7532),
     },
     ("pi", "machin"): {
-        1: (9, [8, 3], 300),
-        21: (29, [22, 7], 780),
-        72: (80, [59, 18], 2052),
-        128: (136, [99, 29], 3420),
-        508: (515, [371, 109], 12764),
+        1: (10, [8, 3], 92),
+        21: (29, [22, 7], 212),
+        72: (80, [59, 17], 536),
+        128: (136, [99, 29], 880),
+        508: (516, [371, 109], 3216),
     },
     ("arctan", "1"): {
-        1: (10, [20, 20, 20], 205),
-        21: (30, [52, 52, 52], 525),
-        72: (80, [136, 136, 136], 1365),
-        128: (137, [230, 230, 230], 2305),
-        508: (517, [861, 861, 861], 8615),
+        1: (10, [18, 18, 18], 50),
+        21: (29, [50, 50, 50], 130),
+        72: (80, [134, 134, 134], 340),
+        128: (136, [227, 227, 227], 575),
+        508: (516, [859, 859, 859], 2155),
     },
     ("arctan", "1/2"): {
-        1: (11, [7, 7, 7], 75),
-        21: (30, [18, 18, 17], 183),
-        72: (81, [46, 46, 45], 463),
-        128: (137, [77, 77, 76], 773),
-        508: (517, [287, 287, 287], 2875),
+        1: (9, [6, 6, 6], 20),
+        21: (29, [17, 17, 16], 49),
+        72: (80, [45, 45, 45], 120),
+        128: (136, [76, 76, 76], 195),
+        508: (516, [286, 286, 286], 720),
     },
     ("arctan", "1/4"): {
-        1: (10, [4, 4, 4], 45),
-        21: (30, [11, 11, 10], 113),
-        72: (81, [28, 27, 27], 279),
-        128: (137, [46, 46, 46], 465),
-        508: (517, [173, 172, 172], 1729),
+        1: (9, [4, 4, 3], 15),
+        21: (29, [10, 10, 10], 30),
+        72: (80, [27, 27, 27], 75),
+        128: (136, [46, 46, 45], 120),
+        508: (516, [172, 172, 171], 435),
     },
 }
 
@@ -498,9 +500,9 @@ def test_json_report_golden(command, choice, digits, capsys):
 # SHA-256 of the 5000-digit --json report with elapsed_ms removed: pins the
 # digits, term counts and certificate past the interpreter's int/str cap
 GOLDEN_5000_SHA256 = {
-    "case1": "59fc716d52765a611f1ee445601ead0f0e2173c9c546d75c95caed5623858562",
-    "combined": "0fdfc5c0dd4aeaab2694b414d7483fbb0ba96fe9596972f6e8ba0507c7e0e473",
-    "machin": "bc8146154cced7272937a0ab8e2e2cfc8e2b7d01c15615a5b7f4c802958ed3a7",
+    "case1": "c7c61963a33a706e7bbdf112b61517bc404a079258ee8346b214ee9772a667e9",
+    "combined": "5be2442dd9d0417b90a54625bebe4515b7528cdc12bb320fe42d7dd5cbefb4cc",
+    "machin": "064aa3ad13e89fdfe710a3171414a0bf3e38279ad255d8ad161d6932eb687e00",
 }
 
 
@@ -515,13 +517,13 @@ def test_json_report_golden_past_int_str_cap(method, capsys):
 
 
 def test_combined_156_digits_certified(capsys):
-    # combined plans one guard digit fewer here than the weight-folded rule
-    # would, so pin only the digits and that they are certified
+    # a size between the golden pins: the digits are pi's, and the guard
+    # rule certifies 8 or 9 digits past them
     code, out, _ = run_cli(["pi", "--digits", "156", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == oracles.truncated_digits(oracles.pi_bracket(170), 156)
-    assert payload["guaranteed_digits"] >= 156
+    assert payload["guaranteed_digits"] - 156 in (8, 9)
 
 
 # --- compare rendering ------------------------------------------------------------
@@ -598,7 +600,9 @@ def test_compare_golden(fmt, capsys):
 
 # --- black box through the real interpreter ----------------------------------------
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+# the directory holding the package under test, so that subprocesses run
+# the same code as this process whatever PYTHONPATH selected
+SRC = Path(rationalpi.__file__).resolve().parent.parent
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -621,6 +625,7 @@ def test_module_entrypoint_black_box():
         [sys.executable, "-m", "rationalpi", "pi", "--digits", "25"],
         capture_output=True,
         text=True,
+        env=_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "3.1415926535897932384626433\n"
@@ -629,6 +634,7 @@ def test_module_entrypoint_black_box():
         [sys.executable, "-m", "rationalpi", "pi", "--digits", "0"],
         capture_output=True,
         text=True,
+        env=_env(),
     )
     assert result.returncode == 2
 

@@ -231,51 +231,17 @@ def test_cross_formula_agreement(digits):
 
 @pytest.mark.parametrize("digits", (10, 50, 128, 500, 3000))
 def test_verify_context_is_sized_by_the_distinct_series(digits):
-    # the identity's nine series are those of case1 and combined, so verify
-    # plans the eleven distinct series of the three routes, each once
-    cases = [series_for_case(case, part) for case in CaseId for part in Component]
-    machin = [arctan_recip_spec(5), arctan_recip_spec(239)]
-    assert context_for_verify(digits) == series.context_for(cases + machin, digits)
-
-
-# raw (pn, pd, offset, step, q_den) of every series, re-derived by hand: for
-# x = 1/x_den the assembly sums x/4, x^2/8 and x^3/4 over 4k+1, 2k+1 and 4k+3
-# with ratio x^4/4, and arctan(1/n) = (1/n) * sum (-1)^k n^(-2k) / (2k+1)
-def _raw_case(x_den):
-    q_den = 4 * x_den**4
-    return ((1, 4 * x_den, 1, 4, q_den), (1, 8 * x_den**2, 1, 2, q_den),
-            (1, 4 * x_den**3, 3, 4, q_den))
-
-
-RAW_CASES = {CaseId.X1: _raw_case(1), CaseId.X_HALF: _raw_case(2),
-             CaseId.X_QUARTER: _raw_case(4)}
-RAW_ROUTES = {
-    PiFormulaId.CASE1: RAW_CASES[CaseId.X1],
-    PiFormulaId.COMBINED: RAW_CASES[CaseId.X_HALF] + RAW_CASES[CaseId.X_QUARTER],
-    PiFormulaId.MACHIN_ORACLE: ((1, 5, 1, 2, 25), (1, 239, 1, 2, 239**2)),
-}
-
-
-def test_context_guard_rule_over_a_digit_sweep():
-    # the rule: each distinct series counts 2*(N + 2) operations, with N
-    # planned 30 digits past the target by the oracle's linear scan, and the
-    # guard is ceil(log10(count)) + 10 digits
-    terms = functools.cache(oracles.brute_terms_needed)
-
-    def expected(raw_series, target):
-        ops = sum(2 * (terms(*raw, target + 30) + 2) for raw in set(raw_series))
-        decades = 0
-        while 10**decades < ops:
-            decades += 1
-        return PrecisionContext(target, decades + 10)
-
-    every_series = [raw for raw_series in RAW_ROUTES.values() for raw in raw_series]
-    for target in (*range(1, 601), 1000, 2000, 5000):
-        for formula_id, raw_series in RAW_ROUTES.items():
-            assert context_for_formula(formula_id, target) == expected(raw_series, target)
-        for case_id, raw_series in RAW_CASES.items():
-            assert context_for_case(case_id, target) == expected(raw_series, target)
-        assert context_for_verify(target) == expected(every_series, target)
+    # the three routes sum eleven distinct series, and verify plans them as
+    # one stack at their route weights: its certificate is the sum of the
+    # routes', so its guard covers every route's
+    cases = [(weight * inner, series_for_case(case, part))
+             for case, weight in ((CaseId.X1, 4), (CaseId.X_HALF, 8), (CaseId.X_QUARTER, 4))
+             for part, inner in zip(Component, (2, 2, 1))]
+    machin = [(16, arctan_recip_spec(5)), (-4, arctan_recip_spec(239))]
+    ctx = context_for_verify(digits)
+    assert ctx == series.context_for(cases + machin, digits)
+    for route in PiFormulaId:
+        assert ctx.guard_digits >= context_for_formula(route, digits).guard_digits, route
 
 
 @pytest.mark.parametrize("digits", (10, 50, 128, 500, 2000))
@@ -387,6 +353,30 @@ CASE_X_DEN = {CaseId.X1: 1, CaseId.X_HALF: 2, CaseId.X_QUARTER: 4}
 ORACLE_DIGITS = (1, 9, 50, 128, 301)
 
 
+def test_context_guard_rule_over_a_digit_sweep():
+    # the rule: each listed series costs |w| * (ceil(N/2) + 1) ulps, with N
+    # planned 30 digits past the target by the oracle's linear scan, at
+    # least one term; the guard is the certificate's decade, one forfeited
+    # digit and 8 spare, so a weight and a repeated series both count
+    terms = functools.cache(oracles.brute_terms_needed)
+
+    def expected(stack, target):
+        ulps = sum(abs(weight) * (-(-max(1, terms(*raw, target + 30)) // 2) + 1)
+                   for weight, raw in stack)
+        decades = 0
+        while 10**decades < ulps + 1:
+            decades += 1
+        return PrecisionContext(target, decades + 1 + 8)
+
+    every_route = [part for stack in ROUTE_STACKS.values() for part in stack]
+    for target in (*range(1, 601), 1000, 2000, 5000):
+        for formula_id, stack in ROUTE_STACKS.items():
+            assert context_for_formula(formula_id, target) == expected(stack, target)
+        for case_id, x_den in CASE_X_DEN.items():
+            assert context_for_case(case_id, target) == expected(paper_stack(x_den, 1), target)
+        assert context_for_verify(target) == expected(every_route, target)
+
+
 @pytest.mark.parametrize("digits", ORACLE_DIGITS)
 def test_routes_and_cases_equal_plain_integer_floor_sums(digits):
     for route, stack in ROUTE_STACKS.items():
@@ -489,8 +479,8 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions):
     # numerator pn * 10^scale): one long division per distinct denominator,
     # and a numerator is shifted afresh only when a folded divisor would no
     # longer fit one digit; the last of these is the d = 1 base, once the
-    # shift has reached 0 (one shift per denominator before folding: 122, 368)
-    expected = {PiFormulaId.COMBINED: (121, 16), PiFormulaId.CASE1: (367, 18)}
+    # shift has reached 0 (one shift per denominator before folding: 122, 364)
+    expected = {PiFormulaId.COMBINED: (121, 16), PiFormulaId.CASE1: (363, 16)}
     for route, (long_divisions, numerator_shifts) in expected.items():
         divisions.clear()
         ctx = context_for_formula(route, 100)

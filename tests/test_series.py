@@ -160,7 +160,8 @@ SATURN_X1 = series_for_case(CaseId.X1, Component.SATURN)
         # a float weight would certify 26 digits of a value wrong from the 17th
         (lambda: eval_series([(2.0, SATURN_X1)], PrecisionContext(20, 10)), "weight"),
         (lambda: terms_needed(SATURN_X1, 2.5), "target_digits"),
-        (lambda: context_for([SATURN_X1], 2.5), "target_digits"),
+        (lambda: context_for([(1, SATURN_X1)], 2.5), "target_digits"),
+        (lambda: context_for([(2.0, SATURN_X1)], 20), "weight"),
         (lambda: formulas.compare_convergence(2.5), "target_digits"),
         (lambda: FixedPoint(1, 2.5, 3), "magnitude"),
         (lambda: ErrorLedger(186.0), "ulps"),
@@ -169,8 +170,9 @@ SATURN_X1 = series_for_case(CaseId.X1, Component.SATURN)
         (lambda: consecutive_term_ratio(SATURN_X1, 1.5), "k"),
         (lambda: fx_to_decimal_string(FixedPoint(1, 5, 4), ErrorLedger(0), 1.5), "want_digits"),
     ),
-    ids=("eval_series", "terms_needed", "context_for", "compare_convergence", "FixedPoint",
-         "ErrorLedger", "PrecisionContext", "consecutive_term_ratio", "fx_to_decimal_string"),
+    ids=("eval_series", "terms_needed", "context_for", "context_for_weight",
+         "compare_convergence", "FixedPoint", "ErrorLedger", "PrecisionContext",
+         "consecutive_term_ratio", "fx_to_decimal_string"),
 )
 def test_a_non_int_argument_is_refused_by_name(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
@@ -186,7 +188,7 @@ def test_want_digits_below_zero_names_the_bound():
     "call",
     (
         # below -30 the planner's probe of target + 30 is itself below 1
-        lambda: context_for([SATURN_X1], -40),
+        lambda: context_for([(1, SATURN_X1)], -40),
         lambda: formulas.context_for_formula(formulas.PiFormulaId.MACHIN_ORACLE, -40),
         lambda: formulas.context_for_case(CaseId.X1, -40),
         lambda: formulas.context_for_verify(-40),
@@ -266,7 +268,7 @@ def test_eval_single_surviving_term():
 def test_eval_jupiter_x1_closed_form_digits():
     # equals arctan(1/2)/4; reference digits from the exact-rational oracle
     spec = series_for_case(CaseId.X1, Component.JUPITER)
-    result = eval_series([(1, spec)], context_for([spec], 30))
+    result = eval_series([(1, spec)], context_for([(1, spec)], 30))
     digits = fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), 30)
     assert digits == "0.115911902250201529053564057865"
 
@@ -274,7 +276,7 @@ def test_eval_jupiter_x1_closed_form_digits():
 @pytest.mark.parametrize("digits", (10, 20, 50))
 def test_eval_matches_exact_rational_oracle(digits):
     for _, _, spec in all_specs():
-        ctx = context_for([spec], digits)
+        ctx = context_for([(1, spec)], digits)
         result = eval_series([(1, spec)], ctx)
         assert result.guaranteed_digits >= digits
         value = oracles.exact_value(result.value)
@@ -312,7 +314,7 @@ PREFACTOR_DENS = st.one_of(
     digits=st.integers(min_value=5, max_value=150),
 )
 def test_ledger_covers_exact_series_value(spec, digits):
-    ctx = context_for([spec], digits)
+    ctx = context_for([(1, spec)], digits)
     result = eval_series([(1, spec)], ctx)
     ulp = Fraction(1, 10**ctx.scale)
     # the limit lies between the partial sum and the partial sum plus the
@@ -366,7 +368,7 @@ def identity_stack(jupiter_num=1):
 
 
 def assert_equals_floor_sums(stack, digits):
-    ctx = context_for([spec for _, spec in stack], digits)
+    ctx = context_for(stack, digits)
     result = eval_series(stack, ctx)
     value, certificate, counts = oracles.stack_floor_sum(
         [(weight, spec_fields(spec)) for weight, spec in stack], ctx.scale
@@ -470,7 +472,7 @@ def test_narrow_digits_equal_plain_integer_floor_sums(bits, stack, digits):
 @given(stack=STACKS, digits=st.integers(min_value=5, max_value=150))
 @example(stack=TWICE, digits=40)
 def test_ledger_covers_exact_stack_value(stack, digits):
-    ctx = context_for([spec for _, spec in stack], digits)
+    ctx = context_for(stack, digits)
     result = eval_series(stack, ctx)
     ulp = Fraction(1, 10**ctx.scale)
     # the weighted limit lies between the weighted ends of each series' bracket
@@ -483,6 +485,53 @@ def test_ledger_covers_exact_stack_value(stack, digits):
     assert max(abs(value - lo), abs(value - hi)) <= result.error_ulps * ulp
 
 
+FLOOR_STACKS = st.lists(
+    st.tuples(
+        st.sampled_from((-3, -2, -1, 1, 2, 3)),
+        st.builds(
+            SeriesSpec,
+            prefactor_num=st.integers(min_value=1, max_value=6),
+            prefactor_den=st.sampled_from((1, 2, 4, 8, 3, 5, 7)),
+            offset=st.integers(min_value=1, max_value=6),
+            step=st.integers(min_value=1, max_value=4),
+            q_den=st.sampled_from((2, 4, 64, 1024, 3, 9, 25)),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stack=FLOOR_STACKS,
+    ctx=st.builds(PrecisionContext, st.integers(min_value=3, max_value=40),
+                  st.integers(min_value=0, max_value=8)),
+)
+# two terms at scale 3: 166 and 10 ulps stored for 166.67 and 10, and a
+# remainder of 0.67 after them, so the value is 1.33 ulps low; ceil(N/2)
+# alone would charge 1
+@example([(1, SeriesSpec(1, 2, 3, 2, 10))], PrecisionContext(1, 2))
+def test_certificate_bounds_the_floored_stack(stack, ctx):
+    # |stored - exact| < sum(|w| * (ceil(N/2) + 1)) ulps, strictly, at both
+    # ends of the weighted oracle bracket, whatever guard the caller chose
+    try:
+        result = eval_series(stack, ctx)
+    except InsufficientPrecisionError as exc:
+        assert exc.guaranteed < ctx.target_digits
+        return
+    lo = hi = Fraction(0)
+    for (weight, spec), n in zip(stack, result.component_terms):
+        ends = sorted(weight * end for end in oracles.series_bracket(*spec_fields(spec), n))
+        lo += ends[0]
+        hi += ends[1]
+    value = oracles.exact_value(result.value)
+    ulp = Fraction(1, 10**ctx.scale)
+    assert max(abs(value - lo), abs(value - hi)) < result.error_ulps * ulp
+    assert result.error_ulps == sum(abs(weight) * (-(-n // 2) + 1)
+                                    for (weight, _), n in zip(stack, result.component_terms))
+
+
 def test_alternating_remainder_bounded_by_first_omitted_term():
     for _, _, spec in all_specs():
         fields = spec_fields(spec)
@@ -493,11 +542,11 @@ def test_alternating_remainder_bounded_by_first_omitted_term():
 
 
 def test_eval_error_budget_stays_modest():
-    # two divisions per term plus the remainder charge
+    # one ulp per pair of floored terms, rounded up, plus the remainder charge
     spec = series_for_case(CaseId.X1, Component.SATURN)
-    ctx = context_for([spec], 50)
+    ctx = context_for([(1, spec)], 50)
     result = eval_series([(1, spec)], ctx)
-    assert result.error_ulps <= 2 * result.terms_used + 2
+    assert result.error_ulps == (result.terms_used + 1) // 2 + 1
     assert result.component_terms == (result.terms_used,)
 
 
@@ -506,21 +555,23 @@ def _no_summing(*args):
 
 
 def test_weighted_stack_refused_from_its_certificate_before_summing(monkeypatch):
-    # alone the series certifies 27 digits at scale 30; the weight
-    # multiplies its 2*N + 1 ulps, and the weighted certificate covers 18
+    # alone the series' 16 terms cost 9 ulps and certify 28 digits at scale
+    # 30; the weight multiplies those ulps, and the weighted certificate
+    # covers 19
     monkeypatch.setattr(series, "_shared_pass", _no_summing)
     monkeypatch.setattr(series, "_running_power_sum", _no_summing)
     stack = [(10**9, series_for_case(CaseId.X_HALF, Component.SATURN))]
     with pytest.raises(InsufficientPrecisionError) as info:
         eval_series(stack, PrecisionContext(20, 10))
-    assert (info.value.requested, info.value.guaranteed) == (20, 18)
+    assert (info.value.requested, info.value.guaranteed) == (20, 19)
 
 
 @pytest.mark.parametrize("weight", (1, 7, 10**3, 10**6, 10**9, 10**12))
 @pytest.mark.parametrize("target", (5, 20, 60))
 def test_result_certifies_its_target_or_is_refused(weight, target):
+    # planned at weight 1, so the heavier weights outgrow the guard
     specs = [series_for_case(CaseId.X1, component) for component in ALL_COMPONENTS]
-    ctx = context_for(specs, target)
+    ctx = context_for([(1, spec) for spec in specs], target)
     try:
         result = eval_series([(weight, spec) for spec in specs], ctx)
     except InsufficientPrecisionError as exc:
@@ -529,29 +580,34 @@ def test_result_certifies_its_target_or_is_refused(weight, target):
         assert result.guaranteed_digits >= target
 
 
-def test_context_counts_each_distinct_series_once():
-    # counted twice, SATURN's operations would cross 100 at one digit and
-    # raise the guard from 12 to 13 digits
+def test_context_counts_every_series_at_its_weight():
+    # planned at 31 digits SATURN sums 47 terms for 25 ulps, two guard digits
+    # for the certificate, one forfeited and 8 spare; four times over, or at
+    # weight 4 or -4, its 100 ulps need a third digit
     spec = series_for_case(CaseId.X1, Component.SATURN)
-    assert context_for([spec], 1).guard_digits == 12
-    assert context_for([spec, spec], 1) == context_for([spec], 1)
+    assert oracles.brute_terms_needed(*spec_fields(spec), 31) == 47
+    assert context_for([(1, spec)], 1) == PrecisionContext(1, 11)
+    assert context_for([(1, spec)] * 2, 1) == context_for([(2, spec)], 1)
+    for stack in ([(1, spec)] * 4, [(4, spec)], [(-4, spec)]):
+        assert context_for(stack, 1) == PrecisionContext(1, 12)
 
 
-@pytest.mark.parametrize(
-    "target,terms,guard", ((469, 497, 13), (470, 498, 13), (471, 499, 14))
-)
-def test_context_guard_crosses_a_decade_of_operations(target, terms, guard):
+@pytest.mark.parametrize("target,terms,guard", ((167, 195, 11), (168, 196, 11), (169, 197, 12)))
+def test_context_guard_crosses_a_decade_of_ulps(target, terms, guard):
     # ratio 1/10 over denominators k+1: one more term per probe digit here,
-    # so the three targets count 998, 1000 and 1002 operations, and only
-    # the last needs a fourth digit for the count
+    # so the three targets are certified to 99, 99 and 100 ulps, and only
+    # the last, whose odd count still rounds its half up, needs a third
+    # digit for the certificate
     spec = SeriesSpec(1, 1, 1, 1, 10)
     assert oracles.brute_terms_needed(*spec_fields(spec), target + 30) == terms
-    assert context_for([spec], target) == PrecisionContext(target, guard)
+    assert context_for([(1, spec)], target) == PrecisionContext(target, guard)
 
 
 def test_context_for_no_series_takes_the_guard_floor():
-    # zero operations count as one, whose guard is the 10-digit margin
-    assert context_for([], 5) == PrecisionContext(5, 10)
+    # no series, or only weight 0, certify to 0 ulps: the guard is the one
+    # forfeited digit and the 8 spare
+    assert context_for([], 5) == PrecisionContext(5, 9)
+    assert context_for([(0, SATURN_X1)], 5) == PrecisionContext(5, 9)
 
 
 # --- term ratios --------------------------------------------------------------
