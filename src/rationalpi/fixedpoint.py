@@ -18,8 +18,9 @@ and pickle all go through, holds each field to one rule, as the functions
 hold the integers their callers pass: exactly an ``int``, else
 :class:`TypeError`, and at least a bound, else :class:`ValueError`.  Only
 :func:`_fixed` skips the checks, for ``fx_add``, ``fx_mul_small`` and
-``fx_div_small``: they run several times per series term and their
-arithmetic on valid operands proves the invariants.
+``fx_div_small``: they run several times per series term, so the last two
+reach the rule behind one ``type(m) is not int`` test, and their arithmetic
+on valid operands proves the invariants.
 """
 
 from collections import namedtuple
@@ -223,6 +224,8 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
     Multiplying by 1 or -1 copies no digits: the operand comes back as is
     or with its sign flipped.
     """
+    if type(m) is not int:
+        _check_int("m", m)
     if m == 1:
         return a
     if m == -1:
@@ -247,9 +250,10 @@ def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:
     ``m & (m - 1)`` would build two integers as large as ``m`` with a borrow
     across them.
     """
-    if m == 0:
-        raise ZeroDivisionError("division by zero")
-    if m < 0:
+    if type(m) is not int or m < 1:
+        _check_int("m", m)
+        if m == 0:
+            raise ZeroDivisionError("division by zero")
         raise ValueError("divisor must be positive")
     shift = m.bit_length() - 1
     if m == 1 << shift:

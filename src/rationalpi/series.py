@@ -27,24 +27,24 @@ pass, and by a wider one with schoolbook long division at about twice the
 cost; a shift or an add costs a fifth of either.  So a power of the ratio is
 folded into a divisor for as long as the product still fits one digit.
 
-:func:`eval_series` sums a weighted stack of series.  When ``pd = 2^a`` and
-``q_den = 2^b`` the term is ``floor(pn * 10^s / (2^e * d_k))`` with
-``e = a + b*k``, and a term that shares ``(pn, d)`` with a term of smaller
-exponent ``e0`` is that term shifted right by ``e - e0`` bits.  Such series
-are therefore summed together in one pass over their denominators from
-largest to smallest: each distinct ``(pn, d)`` costs one long division, and
-every other term with it one shift of that base.  The base divides one
-shifted numerator ``pn * 10^s >> ex`` by the folded divisor
-``d << (e0 - ex)``, and that numerator is shifted afresh only when the
-folded divisor would no longer fit one digit.  JUPITER's ``2k'+1`` is
-SATURN's ``4k+1`` or MARS's ``4k+3``, and the x = 1/4 stack repeats the
+:func:`eval_series` sums a weighted stack of series.  When ``pn = 1``,
+``pd = 2^a`` and ``q_den = 2^b``, as in all nine case series, the term is
+``floor(10^s / (2^e * d_k))`` with ``e = a + b*k``, and a term that shares
+its denominator ``d`` with a term of smaller exponent ``e0`` is that term
+shifted right by ``e - e0`` bits.  Such series are therefore summed together
+in one pass over their denominators from largest to smallest: each distinct
+``d`` costs one long division, and every other term with it one shift of
+that base.  The base divides one shifted numerator ``10^s >> ex`` by the
+folded divisor ``d << (e0 - ex)``, and that numerator is shifted afresh only
+when the folded divisor would no longer fit one digit.  JUPITER's ``2k'+1``
+is SATURN's ``4k+1`` or MARS's ``4k+3``, and the x = 1/4 stack repeats the
 denominators of x = 1/2, so the pass makes about 0.42 long divisions per
 term on the ``combined`` route and 0.67 on ``case1``.  Smallest terms come
-first, so the running sums stay as long as the terms being added.  A series
-with any other ``pd`` or ``q_den`` is summed forward from a running power,
-several terms per power while ``q_den^j * d`` fits one digit.  All ways
-store the same integers, so values never depend on which series share a
-pass or on the interpreter's digit size.
+first, so the running sums stay as long as the terms being added.  Any other
+series, a power-of-two one with another ``pn`` included, is summed forward
+from a running power, several terms per power while ``q_den^j * d`` fits one
+digit.  All ways store the same integers, so values never depend on which
+series share a pass or on the interpreter's digit size.
 
 Term counts are fixed up front by :func:`terms_needed` against the full
 working scale, which pushes the series remainder below one working ulp.
@@ -208,11 +208,12 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     Each series ``i`` sums its minimal ``N_i = terms_needed(spec, scale)``
     terms (at least one), and term ``k`` is stored as exactly
     ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` with
-    ``d_k = offset + step*k``.  A series whose ``pd`` and ``q_den`` are
-    powers of two goes through the shared pass of the module docstring;
-    any other keeps the running power.  Both fold powers of the ratio into
-    one-digit divisors where they can, and both store the same terms, so the
-    value depends neither on which series share a pass nor on the folding.
+    ``d_k = offset + step*k``.  A series with ``pn = 1`` whose ``pd`` and
+    ``q_den`` are powers of two goes through the shared pass of the module
+    docstring; any other keeps the running power.  Both fold powers of the
+    ratio into one-digit divisors where they can, and both store the same
+    terms, so the value depends neither on which series share a pass nor on
+    the folding.
 
     The certificate, from ``_certify``, is
     ``error_ulps = sum(|weight_i| * (ceil(N_i/2) + 1))``.  Stored term ``k``
@@ -239,7 +240,8 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     sums = [FixedPoint(0, 0, scale)] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
-        if _is_power_of_two(spec.prefactor_den) and _is_power_of_two(spec.q_den):
+        # a product of positive integers is a power of two exactly when both factors are
+        if spec.prefactor_num == 1 and (spec.prefactor_den * spec.q_den).bit_count() == 1:
             shared.append((i, spec, n))
         else:
             sums[i] = _running_power_sum(spec, n, scale)
@@ -255,10 +257,6 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
         guaranteed_digits=guaranteed,
         component_terms=tuple(planned),
     )
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n == 1 << (n.bit_length() - 1)
 
 
 def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
@@ -292,14 +290,13 @@ def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
 
 
 def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[int, ...]]:
-    """``(-d_k, prefactor_num, e_k, i, k)`` for k = n-1 down to 0, an
-    ascending sequence; term k divides ``prefactor_num`` by ``2**e_k * d_k``."""
+    """``(-d_k, e_k, i, k)`` for k = n-1 down to 0, an ascending sequence;
+    term k divides ``10^scale`` by ``2**e_k * d_k``."""
     a = spec.prefactor_den.bit_length() - 1
     b = spec.q_den.bit_length() - 1
     last = n - 1
     return zip(
         range(-spec.denominator(last), 1 - spec.offset, spec.step),
-        itertools.repeat(spec.prefactor_num),
         range(a + b * last, a - 1, -b),
         itertools.repeat(i),
         range(last, -1, -1),
@@ -309,34 +306,31 @@ def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[
 def _shared_pass(
     shared: list[tuple[int, SeriesSpec, int]], sums: list[FixedPoint], scale: int
 ) -> None:
-    """Add the planned terms of the power-of-two series ``(i, spec, n)``
-    into ``sums[i]``, largest denominator first, with one long division per
-    distinct (numerator, denominator) pair.
+    """Add the planned terms of the series ``(i, spec, n)``, each with
+    ``pn = 1`` and power-of-two ``pd`` and ``q_den``, into ``sums[i]``,
+    largest denominator first, with one long division per distinct
+    denominator.
 
-    Each numerator ``N = pn * 10^scale`` keeps one shifted copy
-    ``X = N >> ex``.  A group with denominator ``d`` and smallest exponent
-    ``e0`` takes its base as ``X // (d << (e0 - ex))`` while that folded
-    divisor fits one CPython digit.  Otherwise ``X`` is shifted afresh to
-    ``ex = e0 - h``, where ``h = bits - d.bit_length()`` clamped to
-    ``[0, e0]`` is the headroom that lets the groups after it, whose
-    exponents fall, fold into the same ``X``.
+    The numerator ``10^scale`` keeps one shifted copy ``X = 10^scale >> ex``.
+    A group with denominator ``d`` and smallest exponent ``e0`` takes its
+    base as ``X // (d << (e0 - ex))`` while that folded divisor fits one
+    CPython digit.  Otherwise ``X`` is shifted afresh to ``ex = e0 - h``,
+    where ``h = bits - d.bit_length()`` clamped to ``[0, e0]`` is the
+    headroom that lets the groups after it, whose exponents fall, fold into
+    the same ``X``.
     """
     bits = _DIGIT_BITS
     limit = 1 << bits
-    pns = {spec.prefactor_num for _, spec, _ in shared}
-    numerators = {pn: FixedPoint(1, pn * 10**scale, scale) for pn in pns}
-    shifted = {}  # pn -> (ex, numerator >> ex)
+    numerator = FixedPoint(1, 10**scale, scale)
+    ex = math.inf  # so the first group shifts
     group = None
-    for neg_d, pn, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):
-        if (neg_d, pn) != group:
+    for neg_d, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):
+        if neg_d != group:
             # a group's first term has its smallest exponent
-            group, e0, d = (neg_d, pn), e, -neg_d
-            # a numerator's first group finds ex above e0 and shifts
-            ex, x = shifted.get(pn, (e0 + 1, None))
+            group, e0, d = neg_d, e, -neg_d
             if e0 < ex or d << (e0 - ex) >= limit:
                 ex = e0 - min(e0, max(0, bits - d.bit_length()))
-                x = fx_div_small(numerators[pn], 1 << ex)
-                shifted[pn] = ex, x
+                x = fx_div_small(numerator, 1 << ex)
             base = fx_div_small(x, d << (e0 - ex))
         term = base if e == e0 else fx_div_small(base, 1 << (e - e0))
         sums[i] = fx_add(sums[i], fx_mul_small(term, -1 if k & 1 else 1))

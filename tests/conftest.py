@@ -32,7 +32,8 @@ def jupiter_fault(monkeypatch):
     every stack the formulas layer builds, for one test.
 
     The fault reaches ``arctan(1/3)``, so the ``combined`` route and the
-    identity read off it against ``case1``; ``verify`` must report it.
+    identity read off it against ``case1``; ``verify`` must report it.  The
+    doubled series takes the running power, not the shared pass.
     """
     real = formulas.series_for_case
 

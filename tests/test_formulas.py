@@ -448,7 +448,7 @@ def test_weighted_arctangents_equal_plain_integer_floor_sums(terms, target, guar
 @pytest.mark.parametrize("fault", (False, True))
 def test_identity_check_equals_plain_integer_floor_sums(digits, fault, request):
     # 2*arctan(1/3) + arctan(1/7) - arctan(1), optionally with JUPITER(x=1/2)
-    # given a doubled prefactor numerator
+    # given a doubled prefactor numerator, which sends it to the running power
     stack = paper_stack(2, 2, jupiter_num=2 if fault else 1)
     stack += paper_stack(4, 1) + paper_stack(1, -1)
     if fault:
@@ -475,9 +475,9 @@ def divisions(monkeypatch):
 
 
 def test_shared_pass_makes_one_long_division_per_denominator(divisions):
-    # (divisions by a non-power of two, power-of-two divisions of a whole
-    # numerator pn * 10^scale): one long division per distinct denominator,
-    # and a numerator is shifted afresh only when a folded divisor would no
+    # (divisions by a non-power of two, power-of-two divisions of the whole
+    # numerator 10^scale): one long division per distinct denominator, and
+    # the numerator is shifted afresh only when a folded divisor would no
     # longer fit one digit; the last of these is the d = 1 base, once the
     # shift has reached 0 (one shift per denominator before folding: 122, 364)
     expected = {PiFormulaId.COMBINED: (121, 16), PiFormulaId.CASE1: (363, 16)}

@@ -12,6 +12,8 @@ from rationalpi.fixedpoint import (
     FixedPoint,
     InsufficientPrecisionError,
     PrecisionContext,
+    fx_div_small,
+    fx_mul_small,
     fx_to_decimal_string,
 )
 from rationalpi.series import (
@@ -169,10 +171,18 @@ SATURN_X1 = series_for_case(CaseId.X1, Component.SATURN)
         # these two name their argument, not a failure inside Fraction or range
         (lambda: consecutive_term_ratio(SATURN_X1, 1.5), "k"),
         (lambda: fx_to_decimal_string(FixedPoint(1, 5, 4), ErrorLedger(0), 1.5), "want_digits"),
+        # a float multiplier made a float magnitude, which then printed
+        # 3000000000000.0008192 as certified for 3000000000000.0003703...
+        (lambda: fx_mul_small(FixedPoint(1, 10**20 + 12345, 8), 3.0), "m"),
+        (lambda: fx_mul_small(FixedPoint(1, 10**20 + 12345, 8), True), "m"),
+        # a float divisor raised AttributeError, and True divided by 1
+        (lambda: fx_div_small(FixedPoint(1, 10**20 + 12345, 8), 2.5), "m"),
+        (lambda: fx_div_small(FixedPoint(1, 10**20 + 12345, 8), True), "m"),
     ),
     ids=("eval_series", "terms_needed", "context_for", "context_for_weight",
          "compare_convergence", "FixedPoint", "ErrorLedger", "PrecisionContext",
-         "consecutive_term_ratio", "fx_to_decimal_string"),
+         "consecutive_term_ratio", "fx_to_decimal_string", "fx_mul_small_float",
+         "fx_mul_small_bool", "fx_div_small_float", "fx_div_small_bool"),
 )
 def test_a_non_int_argument_is_refused_by_name(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
@@ -324,11 +334,14 @@ def test_ledger_covers_exact_series_value(spec, digits):
     assert max(abs(value - lo), abs(value - hi)) <= result.error_ulps * ulp
 
 
-# weighted stacks: small offsets, steps and numerators so that series share
-# denominators and numerators, with odd steps for even denominators
+# numerator 1 in about half the draws: only a power-of-two series with pn = 1
+# takes the shared pass, and every other one the running power
+NUMERATORS = st.one_of(st.just(1), st.integers(min_value=2, max_value=6))
+# weighted stacks: small offsets and steps so that series share denominators,
+# with odd steps for even denominators
 STACK_SPECS = st.builds(
     SeriesSpec,
-    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_num=NUMERATORS,
     prefactor_den=st.one_of(
         st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
         st.integers(min_value=3, max_value=100),
@@ -343,10 +356,11 @@ STACK_SPECS = st.builds(
 STACKS = st.lists(
     st.tuples(st.integers(min_value=-20, max_value=20), STACK_SPECS), min_size=1, max_size=6
 )
-# one series twice, so two terms share numerator, denominator and exponent
+# one series twice in the shared pass, so two terms share denominator and
+# exponent
 TWICE = [
-    (3, SeriesSpec(2, 8, 1, 2, 4)),
-    (-1, SeriesSpec(2, 8, 1, 2, 4)),
+    (3, SeriesSpec(1, 8, 1, 2, 4)),
+    (-1, SeriesSpec(1, 8, 1, 2, 4)),
     (1, SeriesSpec(1, 2, 3, 4, 16)),
 ]
 
@@ -356,7 +370,8 @@ def identity_stack(jupiter_num=1):
     """2*arctan(1/3) + arctan(1/7) - arctan(1) as one stack of the nine case
     series, optionally with JUPITER(x=1/2) given the numerator
     ``jupiter_num``: no command sums x = 1, 1/2 and 1/4 in one pass, so
-    these stacks keep such a pass pinned."""
+    these stacks keep such a pass pinned.  A doubled JUPITER numerator
+    takes the running power, and the other eight series keep the pass."""
     stack = []
     for case, weight in ((CaseId.X_HALF, 2), (CaseId.X_QUARTER, 1), (CaseId.X1, -1)):
         for component, inner in zip(ALL_COMPONENTS, (2, 2, 1)):
@@ -385,17 +400,20 @@ def assert_equals_floor_sums(stack, digits):
 @example(stack=TWICE, digits=40)
 @example(stack=identity_stack(), digits=120)
 @example(stack=identity_stack(jupiter_num=2), digits=120)
+# the same progression and powers of two, split by numerator: pn = 1 takes
+# the shared pass and pn = 3 the running power
+@example(stack=[(1, SeriesSpec(1, 8, 1, 2, 4)), (2, SeriesSpec(3, 8, 1, 2, 4))], digits=60)
 def test_stack_equals_plain_integer_floor_sums(stack, digits):
     assert_equals_floor_sums(stack, digits)
 
 
 # with 30-bit digits the running power stores two terms per base for
 # q_den = 2**15 - 1 and denominators below it, whose product fits one digit,
-# and one for 2**15 or 2**15 + 1; with a power-of-two prefactor denominator
-# 2**15 goes to the shared pass instead
+# and one for 2**15 or 2**15 + 1; with pn = 1 and a power-of-two prefactor
+# denominator 2**15 goes to the shared pass instead
 FOLD_EDGE_SPECS = st.builds(
     SeriesSpec,
-    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_num=NUMERATORS,
     prefactor_den=st.one_of(
         st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
         st.integers(min_value=3, max_value=100),
@@ -408,7 +426,7 @@ FOLD_EDGE_SPECS = st.builds(
 # shared pass shifts to the group's own exponent and divides by d alone
 WIDE_DENOMINATOR_SPECS = st.builds(
     SeriesSpec,
-    prefactor_num=st.integers(min_value=1, max_value=6),
+    prefactor_num=st.just(1),
     prefactor_den=st.integers(min_value=0, max_value=12).map(lambda s: 1 << s),
     offset=st.integers(min_value=2**30, max_value=2**62),
     step=st.integers(min_value=1, max_value=2**40),
