@@ -6,10 +6,9 @@ output is the bare digit string; ``--json`` emits the full report (schema
 version 1) with ``elapsed_ms`` as the only timing field, so everything
 else is byte-reproducible across runs.
 
-Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS`` and
-``bench`` takes ``--repeat`` from 1 to ``MAX_REPEAT``: their argparse
-types refuse any other value before planning, so every request has a
-bounded cost.
+Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS``: its
+argparse type refuses any other value before planning, so every request
+has a bounded cost.  ``bench`` times one run per route.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -43,20 +42,18 @@ from .formulas import (
 from .series import CaseId
 
 DEFAULT_MAX_DIGITS = 100_000
-MAX_REPEAT = 100
 JSON_SCHEMA_VERSION = 1
 
 
-def _count(cap: int):
-    """The argparse type of an integer from 1 to ``cap``."""
-    def count(text: str) -> int:
-        try:
-            if 1 <= (value := int(text)) <= cap:
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"not an integer from 1 to {cap}: {text!r}")
-    return count
+def _digits(text: str) -> int:
+    """The argparse type of ``--digits``: an integer from 1 to
+    ``DEFAULT_MAX_DIGITS``."""
+    try:
+        if 1 <= (value := int(text)) <= DEFAULT_MAX_DIGITS:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer from 1 to {DEFAULT_MAX_DIGITS}: {text!r}")
 
 
 def _refuse(status: int, message: str) -> None:
@@ -169,26 +166,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time every pi route, printing the times only once the certified
-    digits of all routes agree: a fast wrong answer must not look like a win."""
+    """Time one run of every pi route, printing the times only once the
+    certified digits of all routes agree: a fast wrong answer must not look
+    like a win."""
     rows = []
     values = {}
     for formula_id in PiFormulaId:
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            result = compute_pi(formula_id, context_for_formula(formula_id, args.digits))
-            times.append((time.perf_counter() - t0) * 1000)
+        t0 = time.perf_counter()
+        result = compute_pi(formula_id, context_for_formula(formula_id, args.digits))
+        elapsed_ms = (time.perf_counter() - t0) * 1000
         values[formula_id.value] = _render_digits(result, args.digits)
-        rows.append((formula_id.value, result.terms_used, min(times)))
+        rows.append((formula_id.value, result.terms_used, elapsed_ms))
     if len(set(values.values())) > 1:
         # every value reads "3." and then the digits
         first = _first_difference(*values.values())
         detail = ", ".join(f"{name} has {value[first]!r}" for name, value in values.items())
         _refuse(1, f"pi routes disagree at digit {first - 1} after the point: {detail}")
     print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
-    for name, terms, best in rows:
-        print(f"{name:<10}{args.digits:>8}{terms:>8}{best:>10.2f}")
+    for name, terms, elapsed_ms in rows:
+        print(f"{name:<10}{args.digits:>8}{terms:>8}{elapsed_ms:>10.2f}")
     return 0
 
 
@@ -202,10 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    digits = _count(DEFAULT_MAX_DIGITS)
 
     p_pi = sub.add_parser("pi", help="compute pi digits")
-    p_pi.add_argument("--digits", type=digits, required=True,
+    p_pi.add_argument("--digits", type=_digits, required=True,
                       help=f"fractional digits to emit (certified), 1 to {DEFAULT_MAX_DIGITS}")
     p_pi.add_argument("--method", choices=[f.value for f in PiFormulaId], default="combined",
                       help="assembly route (default: combined)")
@@ -215,29 +210,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_at = sub.add_parser("arctan", help="compute an arctangent value")
     p_at.add_argument("--case", choices=[c.value for c in CaseId], required=True,
                       help="series argument x; the value is arctan(x/(2-x))")
-    p_at.add_argument("--digits", type=digits, required=True,
+    p_at.add_argument("--digits", type=_digits, required=True,
                       help=f"fractional digits to emit (certified), 1 to {DEFAULT_MAX_DIGITS}")
     p_at.add_argument("--json", action="store_true", help="emit the full JSON report")
     p_at.set_defaults(func=cmd_arctan)
 
     p_ver = sub.add_parser("verify", help="run the identity and agreement checks")
-    p_ver.add_argument("--digits", type=digits, default=50,
+    p_ver.add_argument("--digits", type=_digits, default=50,
                        help=f"working digit target, 1 to {DEFAULT_MAX_DIGITS} (default: 50)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_cmp = sub.add_parser("compare", help="convergence comparison table")
-    p_cmp.add_argument("--digits", type=digits, required=True,
+    p_cmp.add_argument("--digits", type=_digits, required=True,
                        help=f"digit target the term counts refer to, 1 to {DEFAULT_MAX_DIGITS}")
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_bench = sub.add_parser(
-        "bench", help="time the pi routes; exits 1 unless their certified digits agree"
+        "bench", help="time one run of each pi route; exits 1 unless their certified digits agree"
     )
-    p_bench.add_argument("--digits", type=digits, default=2000,
+    p_bench.add_argument("--digits", type=_digits, default=2000,
                          help=f"digits per route, 1 to {DEFAULT_MAX_DIGITS} (default: 2000)")
-    p_bench.add_argument("--repeat", type=_count(MAX_REPEAT), default=3,
-                         help=f"timed runs per route, 1 to {MAX_REPEAT} (default: 3)")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -87,10 +87,14 @@ def _stack(case: CaseId, weight: int = 1) -> list[tuple[int, SeriesSpec]]:
 
 def _series(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, SeriesSpec]]:
     """Weighted arctangents as weighted series: the case stack for 1, 1/3
-    and 1/7, otherwise the plain ``arctan(1/n)`` series."""
+    and 1/7, otherwise the plain ``arctan(1/n)`` series.  An argument must
+    be exactly a ``Fraction`` or an ``int``: the lookup by equality would
+    take ``True`` or ``1.0`` for 1."""
     parts = []
     for coeff, arg in terms:
         _check_int("coefficient", coeff)
+        if type(arg) not in (Fraction, int):
+            raise TypeError(f"argument must be a Fraction or an int, got {type(arg).__name__}")
         if arg in _CASE_OF_ARG:
             parts += _stack(_CASE_OF_ARG[arg], coeff)
         elif arg.numerator == 1:
@@ -104,9 +108,10 @@ def sun(case: CaseId | Iterable[tuple[int, Fraction]], ctx: PrecisionContext) ->
     """Evaluate ``2*SATURN + 2*JUPITER + MARS = arctan(x/(2-x))`` for one
     case, or weighted arctangents ``[(coefficient, argument), ...]`` such
     as a :data:`PI_FORMULAS` route, expanded by ``_series`` into one stack
-    that :func:`eval_series` sums in one pass; an argument with no series
-    raises ``ValueError`` and a coefficient that is not an ``int``
-    ``TypeError``."""
+    that :func:`eval_series` sums in one pass.  A coefficient must be
+    exactly an ``int`` and an argument exactly a ``Fraction`` or an ``int``
+    (``bool``, ``float`` and ``str`` raise ``TypeError``); an argument with
+    no series raises ``ValueError``."""
     return eval_series(_stack(case) if isinstance(case, CaseId) else _series(case), ctx)
 
 

@@ -123,6 +123,13 @@ def test_fixture_option_is_removed(capsys):
     assert "error: unrecognized arguments: --fixture x" in err
 
 
+def test_repeat_option_is_removed(capsys):
+    # bench times one run per route, so --digits alone sets its cost
+    code, out, err = run_cli(["bench", "--digits", "10", "--repeat", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --repeat 1" in err
+
+
 class PlanningReached(Exception):
     pass
 
@@ -147,7 +154,7 @@ def planning_blocked(monkeypatch):
         ["pi", "--digits"],
         ["arctan", "--case", "1", "--digits"],
         ["verify", "--digits"],
-        ["bench", "--repeat", "1", "--digits"],
+        ["bench", "--digits"],
         ["compare", "--digits"],
     ),
 )
@@ -160,16 +167,6 @@ def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
     # at the cap itself the request goes on to plan
     with pytest.raises(PlanningReached):
         main(argv + [str(cli.DEFAULT_MAX_DIGITS)])
-
-
-def test_repeat_cap_refuses_before_planning(planning_blocked, capsys):
-    for bad in ("0", str(cli.MAX_REPEAT + 1)):
-        code, out, err = run_cli(["bench", "--digits", "10", "--repeat", bad], capsys)
-        assert (code, out) == (2, "")
-        assert f"argument --repeat: not an integer from 1 to {cli.MAX_REPEAT}: '{bad}'" in err
-    # at the cap itself the request goes on to plan
-    with pytest.raises(PlanningReached):
-        main(["bench", "--digits", "10", "--repeat", str(cli.MAX_REPEAT)])
 
 
 @pytest.mark.parametrize("digits", range(1, 10))
@@ -213,7 +210,7 @@ def test_happy_paths_exit_zero(capsys):
         ["compare", "--digits", "10", "--format", "table"],
         ["compare", "--digits", "10", "--format", "csv"],
         ["compare", "--digits", "10", "--format", "json"],
-        ["bench", "--digits", "40", "--repeat", "1"],
+        ["bench", "--digits", "40"],
     ):
         code, _, _ = run_cli(argv, capsys)
         assert code == 0, argv
@@ -235,14 +232,14 @@ def machin_off_by_one_unit(compute_pi):
 
 
 def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
-    code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
+    code, out, err = run_cli(["bench", "--digits", "40"], capsys)
     assert code == 0 and err == ""
     assert [line.split()[:2] for line in out.splitlines()[1:]] == [
         ["case1", "40"], ["combined", "40"], ["machin", "40"]
     ]
 
     monkeypatch.setattr(cli, "compute_pi", machin_off_by_one_unit(cli.compute_pi))
-    code, out, err = run_cli(["bench", "--digits", "40", "--repeat", "1"], capsys)
+    code, out, err = run_cli(["bench", "--digits", "40"], capsys)
     assert code == 1
     assert out == ""
     # the added unit carries into the 29th digit: ...327|9 becomes ...328|0
@@ -346,8 +343,6 @@ def well_formed_argv(draw):
         argv.append("--json")
     if command == "compare":
         argv += ["--format", draw(st.sampled_from(("table", "csv", "json")))]
-    if command == "bench":
-        argv += ["--repeat", "1"]
     return argv
 
 
@@ -651,7 +646,7 @@ OUTPUT_REQUESTS = {
     "arctan": (["arctan", "--case", "1/2", "--digits", "5000"], 16),
     "verify": (["verify", "--digits", "50"], 0),
     "compare": (["compare", "--digits", "10"], 0),
-    "bench": (["bench", "--digits", "40", "--repeat", "1"], 0),
+    "bench": (["bench", "--digits", "40"], 0),
 }
 
 

@@ -174,6 +174,20 @@ def test_sun_refuses_a_bool_coefficient_on_every_argument(arg):
         sun([(True, arg)], PrecisionContext(10, 10))
 
 
+@pytest.mark.parametrize("arg", (True, 1.0, 0.2, "1/5"))
+def test_sun_refuses_an_argument_that_is_not_a_fraction_or_an_int(arg):
+    # a lookup by equality would take True and 1.0 for the case argument 1,
+    # and 0.2 and "1/5" have no exact numerator
+    with pytest.raises(TypeError, match=f"^argument must be a Fraction or an int, got "
+                                        f"{type(arg).__name__}$"):
+        sun([(4, arg)], PrecisionContext(10, 10))
+
+
+def test_sun_takes_the_int_one_as_arctan_of_one():
+    ctx = context_for_formula(PiFormulaId.CASE1, 30)
+    assert sun([(4, 1)], ctx) == compute_pi(PiFormulaId.CASE1, ctx)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     key=st.sampled_from([*PiFormulaId, *CaseId]),
