@@ -8,7 +8,8 @@ else is byte-reproducible across runs.
 
 Every subcommand takes ``--digits`` from 1 to ``DEFAULT_MAX_DIGITS``: its
 argparse type refuses any other value before planning, so every request
-has a bounded cost.  ``bench`` times one run per route.
+has a bounded cost.  ``bench`` times one request per route: the plan,
+evaluate and render span that ``--json`` reports as ``elapsed_ms``.
 
 Exit codes: 0 success, 1 verification or precision failure, 2 argument
 error, 3 standard output could not be written (a closed pipe, a full
@@ -69,19 +70,20 @@ def _first_difference(*texts: str) -> int:
     return next(i for i, chars in enumerate(zip(*texts)) if len(set(chars)) > 1)
 
 
-def _render_digits(result: EvalResult, digits: int) -> str:
-    return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
+def _request(key, digits: int, plan, evaluate) -> tuple[EvalResult, str, float]:
+    """Plan, evaluate and render one value: the result, its certified digits
+    and the milliseconds the three took.  Callers pass ``plan`` and
+    ``evaluate`` from this module's bindings at each call, so a wrapper
+    bound in their place sees every request."""
+    t0 = time.perf_counter()
+    result = evaluate(key, plan(key, digits))
+    value = fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
+    return result, value, (time.perf_counter() - t0) * 1000
 
 
 def _value_command(args: argparse.Namespace, method: str, key, plan, evaluate) -> int:
-    """Plan, evaluate and render one value, then print the digits or the
-    schema-1 JSON report.  Callers pass ``plan`` and ``evaluate`` from
-    this module's bindings at each call, so a wrapper bound in their place
-    sees every request."""
-    t0 = time.perf_counter()
-    result = evaluate(key, plan(key, args.digits))
-    value = _render_digits(result, args.digits)
-    elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    """Print the digits of one :func:`_request` or its schema-1 JSON report."""
+    result, value, elapsed_ms = _request(key, args.digits, plan, evaluate)
     if args.json:
         # imported on the JSON paths only: plain output never needs it
         import json
@@ -93,7 +95,7 @@ def _value_command(args: argparse.Namespace, method: str, key, plan, evaluate) -
             "guaranteed_digits": result.guaranteed_digits,
             "terms_used": list(result.component_terms),
             "error_ulps": result.error_ulps,
-            "elapsed_ms": elapsed_ms,
+            "elapsed_ms": int(elapsed_ms),
             "value": value,
         })
     print(value)
@@ -166,25 +168,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time one run of every pi route, printing the times only once the
-    certified digits of all routes agree: a fast wrong answer must not look
-    like a win."""
-    rows = []
-    values = {}
-    for formula_id in PiFormulaId:
-        t0 = time.perf_counter()
-        result = compute_pi(formula_id, context_for_formula(formula_id, args.digits))
-        elapsed_ms = (time.perf_counter() - t0) * 1000
-        values[formula_id.value] = _render_digits(result, args.digits)
-        rows.append((formula_id.value, result.terms_used, elapsed_ms))
-    if len(set(values.values())) > 1:
+    """Time one request of every pi route, the span ``--json`` reports as
+    ``elapsed_ms``, printing the times only once the certified digits of all
+    routes agree: a fast wrong answer must not look like a win."""
+    runs = {formula_id.value: _request(formula_id, args.digits, context_for_formula, compute_pi)
+            for formula_id in PiFormulaId}
+    values = [value for _, value, _ in runs.values()]
+    if len(set(values)) > 1:
         # every value reads "3." and then the digits
-        first = _first_difference(*values.values())
-        detail = ", ".join(f"{name} has {value[first]!r}" for name, value in values.items())
+        first = _first_difference(*values)
+        detail = ", ".join(f"{name} has {value[first]!r}" for name, (_, value, _) in runs.items())
         _refuse(1, f"pi routes disagree at digit {first - 1} after the point: {detail}")
     print(f"{'method':<10}{'digits':>8}{'terms':>8}{'ms':>10}")
-    for name, terms, elapsed_ms in rows:
-        print(f"{name:<10}{args.digits:>8}{terms:>8}{elapsed_ms:>10.2f}")
+    for name, (result, _, elapsed_ms) in runs.items():
+        print(f"{name:<10}{args.digits:>8}{result.terms_used:>8}{elapsed_ms:>10.2f}")
     return 0
 
 
@@ -226,9 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser(
-        "bench", help="time one run of each pi route; exits 1 unless their certified digits agree"
-    )
+    p_bench = sub.add_parser("bench", help=(
+        "time one request (plan, evaluate, render) of each pi route; exits 1 unless their "
+        "certified digits agree"))
     p_bench.add_argument("--digits", type=_digits, default=2000,
                          help=f"digits per route, 1 to {DEFAULT_MAX_DIGITS} (default: 2000)")
     p_bench.set_defaults(func=cmd_bench)

@@ -345,12 +345,17 @@ def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
 def context_for(specs: Iterable[tuple[int, SeriesSpec]], target_digits: int) -> PrecisionContext:
     """Precision context for the weighted stack ``[(weight, spec), ...]``
     that :func:`eval_series` takes, at ``target_digits``: the smallest guard
-    for which the evaluator's certificate, planned at ``target_digits + 30``
-    and so never below the one it charges, certifies 8 digits past the
-    target (:func:`guaranteed_digit_count` read backwards).  The 8 spare
-    digits make it rare for the certified interval to straddle a boundary
-    of the target's last digit.
+    for which the evaluator's certificate, planned 30 digits past the target,
+    certifies 8 digits past the target (:func:`guaranteed_digit_count` read
+    backwards).  A guard above that look-ahead would be charged for more
+    terms than were planned, so the certificate is then planned again at
+    the scale that guard gives, until the guard fits its look-ahead: the
+    certificate planned is never below the one :func:`eval_series` charges.
+    The 8 spare digits make it rare for the certified interval to straddle
+    a boundary of the target's last digit.
     """
     _check_int("target_digits", target_digits, 1)
-    _, ulps = _certify(specs, target_digits + 30)
-    return PrecisionContext(target_digits, _ceil_log10(ulps + 1) + 1 + 8)
+    stack, ahead = list(specs), 30
+    while (guard := _ceil_log10(_certify(stack, target_digits + ahead)[1] + 1) + 1 + 8) > ahead:
+        ahead = guard
+    return PrecisionContext(target_digits, guard)

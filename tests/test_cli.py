@@ -234,9 +234,13 @@ def machin_off_by_one_unit(compute_pi):
 def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
     code, out, err = run_cli(["bench", "--digits", "40"], capsys)
     assert code == 0 and err == ""
-    assert [line.split()[:2] for line in out.splitlines()[1:]] == [
-        ["case1", "40"], ["combined", "40"], ["machin", "40"]
-    ]
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["case1", "40"], ["combined", "40"], ["machin", "40"]]
+    # one request path: each row's terms are the series term counts that
+    # pi --json reports for the same route and digits, summed
+    for method, _, terms, _ in rows:
+        _, report, _ = run_cli(["pi", "--method", method, "--digits", "40", "--json"], capsys)
+        assert sum(json.loads(report)["terms_used"]) == int(terms)
 
     monkeypatch.setattr(cli, "compute_pi", machin_off_by_one_unit(cli.compute_pi))
     code, out, err = run_cli(["bench", "--digits", "40"], capsys)

@@ -628,6 +628,25 @@ def test_context_for_no_series_takes_the_guard_floor():
     assert context_for([(0, SATURN_X1)], 5) == PrecisionContext(5, 9)
 
 
+@pytest.mark.parametrize(
+    "weight,case,component,target",
+    (
+        (10**23, CaseId.X_QUARTER, Component.MARS, 20),
+        (10**51, CaseId.X1, Component.SATURN, 60),
+        (10**200, CaseId.X1, Component.SATURN, 5),
+    ),
+    ids=("weight_1e23", "weight_1e51", "weight_1e200"),
+)
+def test_heavy_weight_guard_keeps_its_spare_digits(weight, case, component, target):
+    # these guards exceed the 30-digit look-ahead, so the evaluator sums more
+    # terms than a certificate planned at target + 30 counts; planned again
+    # at the guard's own scale, the 8 spare digits still hold
+    stack = [(weight, series_for_case(case, component))]
+    ctx = context_for(stack, target)
+    assert ctx.guard_digits > 30
+    assert eval_series(stack, ctx).guaranteed_digits >= target + 8
+
+
 # --- term ratios --------------------------------------------------------------
 
 
