@@ -51,7 +51,7 @@ working scale, which pushes the series remainder below one working ulp.
 The package has one error rule, ``_certify``: ``ceil(N/2) + 1`` ulps per
 series of ``N`` terms, for the floored terms and the remainder however they
 were stored.  :func:`eval_series` proves it and refuses from it, and
-:func:`context_for` sizes the guard from it.
+:func:`context_for` sizes the guard from it at the same scale.
 """
 
 import enum
@@ -68,7 +68,6 @@ from .fixedpoint import (
     InsufficientPrecisionError,
     PrecisionContext,
     _Checked,
-    _ceil_log10,
     _check_int,
     fx_add,
     fx_div_small,
@@ -344,18 +343,19 @@ def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:
 
 def context_for(specs: Iterable[tuple[int, SeriesSpec]], target_digits: int) -> PrecisionContext:
     """Precision context for the weighted stack ``[(weight, spec), ...]``
-    that :func:`eval_series` takes, at ``target_digits``: the smallest guard
-    for which the evaluator's certificate, planned 30 digits past the target,
-    certifies 8 digits past the target (:func:`guaranteed_digit_count` read
-    backwards).  A guard above that look-ahead would be charged for more
-    terms than were planned, so the certificate is then planned again at
-    the scale that guard gives, until the guard fits its look-ahead: the
-    certificate planned is never below the one :func:`eval_series` charges.
-    The 8 spare digits make it rare for the certified interval to straddle
-    a boundary of the target's last digit.
+    that :func:`eval_series` takes: the least guard at which its
+    certificate, planned at ``target_digits + guard``, certifies exactly 8
+    digits past ``target_digits``.
+
+    From guard 0 the guard rises by the digits the certificate falls short.
+    A term count, and so the certificate in ulps, never falls as the scale
+    grows, so one more guard digit adds at most one certified digit: no rise
+    passes the least such guard, and none overshoots the 8 spare digits.
     """
     _check_int("target_digits", target_digits, 1)
-    stack, ahead = list(specs), 30
-    while (guard := _ceil_log10(_certify(stack, target_digits + ahead)[1] + 1) + 1 + 8) > ahead:
-        ahead = guard
+    stack, guard = list(specs), 0
+    while short := target_digits + 8 - guaranteed_digit_count(
+        target_digits + guard, _certify(stack, target_digits + guard)[1]
+    ):
+        guard += short
     return PrecisionContext(target_digits, guard)

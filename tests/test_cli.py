@@ -422,7 +422,7 @@ def test_arctan_json_report(capsys):
 # (guaranteed_digits, terms_used, error_ulps) of the --json report per
 # request.  The odd term counts pin the certificate's ceil(N/2) + 1 ulps per
 # series: floor(N/2) + 1 is sound too, so only these counts tell the two
-# apart.  Every guaranteed count is 8 or 9 past the request, the spare
+# apart.  Every guaranteed count is exactly 8 past the request, the spare
 # digits of the guard rule.
 GOLDEN_REPORTS = {
     ("pi", "case1"): {
@@ -440,14 +440,14 @@ GOLDEN_REPORTS = {
         508: (516, [287, 287, 286, 172, 172, 172], 7532),
     },
     ("pi", "machin"): {
-        1: (10, [8, 3], 92),
+        1: (9, [8, 2], 88),
         21: (29, [22, 7], 212),
         72: (80, [59, 17], 536),
         128: (136, [99, 29], 880),
         508: (516, [371, 109], 3216),
     },
     ("arctan", "1"): {
-        1: (10, [18, 18, 18], 50),
+        1: (9, [16, 16, 16], 45),
         21: (29, [50, 50, 50], 130),
         72: (80, [134, 134, 134], 340),
         128: (136, [227, 227, 227], 575),
@@ -517,12 +517,35 @@ def test_json_report_golden_past_int_str_cap(method, capsys):
 
 def test_combined_156_digits_certified(capsys):
     # a size between the golden pins: the digits are pi's, and the guard
-    # rule certifies 8 or 9 digits past them
+    # rule certifies exactly 8 digits past them
     code, out, _ = run_cli(["pi", "--digits", "156", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == oracles.truncated_digits(oracles.pi_bracket(170), 156)
-    assert payload["guaranteed_digits"] - 156 in (8, 9)
+    assert payload["guaranteed_digits"] - 156 == 8
+
+
+# the two tightest targets up to the 100,000-digit cap: pi's digits after
+# position 761 are the Feynman point, 999999837..., and arctan(1)'s after
+# position 17533 are 000000266...; no other target up to the cap is followed
+# by six equal 0s or 9s
+@pytest.mark.parametrize("method", ("case1", "combined", "machin"))
+def test_pi_at_the_feynman_point(method, capsys):
+    code, out, _ = run_cli(["pi", "--method", method, "--digits", "761"], capsys)
+    assert code == 0
+    assert out == oracles.truncated_digits(oracles.pi_bracket(770), 761) + "\n"
+
+
+# SHA-256 of the output of arctan --case 1 --digits 17533, its newline
+# included, from perfbench/refdigits.py (Chudnovsky, independent of the
+# package); the Fraction oracle is far too slow at this size
+ARCTAN_1_17533_SHA256 = "680eb56d80e8c4eeb3de465c4d9a711738f9ef46b81e0182a887380a3ff695f7"
+
+
+def test_arctan_one_before_six_zeros(capsys):
+    code, out, _ = run_cli(["arctan", "--case", "1", "--digits", "17533"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ARCTAN_1_17533_SHA256
 
 
 # --- compare rendering ------------------------------------------------------------

@@ -208,6 +208,25 @@ def test_small_guard_certifies_its_digits_or_is_refused(key, target, guard):
     assert rendered == oracles.truncated_digits(bracket, target)
 
 
+def test_feynman_point_straddles_at_4_spare_digits():
+    # pi's digits after position 761 are 999999837...: with 4 spare digits
+    # the certified interval of case1 crosses the boundary of the last digit,
+    # with 5 it does not.  The guards are found from their spare digits,
+    # lowering the planned guard until the certificate leaves that many
+    target = 761
+    ctx = context_for_formula(PiFormulaId.CASE1, target)
+    rendered = {}
+    for spare in (5, 4):
+        while (result := compute_pi(PiFormulaId.CASE1, ctx)).guaranteed_digits > target + spare:
+            ctx = ctx._replace(guard_digits=ctx.guard_digits - 1)
+        assert result.guaranteed_digits == target + spare
+        try:
+            rendered[spare] = digits_of(result, target)
+        except BoundaryStraddleError:
+            rendered[spare] = None
+    assert rendered == {5: oracles.truncated_digits(oracles.pi_bracket(770), target), 4: None}
+
+
 def test_result_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
     # a 5000-digit result holds a magnitude past CPython's default 4300-digit
     # int/str limit; its repr must still render, without lifting the cap
@@ -368,19 +387,31 @@ ORACLE_DIGITS = (1, 9, 50, 128, 301)
 
 
 def test_context_guard_rule_over_a_digit_sweep():
-    # the rule: each listed series costs |w| * (ceil(N/2) + 1) ulps, with N
-    # planned 30 digits past the target by the oracle's linear scan, at
-    # least one term; the guard is the certificate's decade, one forfeited
-    # digit and 8 spare, so a weight and a repeated series both count
+    # the rule: at scale target + guard each listed series costs
+    # |w| * (ceil(N/2) + 1) ulps, with N planned at that scale by the
+    # oracle's linear scan, at least one term; the certificate's decade and
+    # one forfeited digit come off the scale, and the guard is the least
+    # one that leaves 8 spare digits, so a weight and a repeated series both
+    # count
     terms = functools.cache(oracles.brute_terms_needed)
 
-    def expected(stack, target):
-        ulps = sum(abs(weight) * (-(-max(1, terms(*raw, target + 30)) // 2) + 1)
+    def certified(stack, scale):
+        ulps = sum(abs(weight) * (-(-max(1, terms(*raw, scale)) // 2) + 1)
                    for weight, raw in stack)
         decades = 0
         while 10**decades < ulps + 1:
             decades += 1
-        return PrecisionContext(target, decades + 1 + 8)
+        return scale - decades - 1
+
+    def expected(stack, target):
+        # the ulps never fall as the scale grows, so a guard adds at most its
+        # own digits to what guard 0 certifies, and none below guard 0's
+        # shortfall can leave 8 spare; starting there spares the scans at
+        # 5000 digits
+        guard = target + 8 - certified(stack, target)
+        while certified(stack, target + guard) < target + 8:
+            guard += 1
+        return PrecisionContext(target, guard)
 
     every_route = [part for stack in ROUTE_STACKS.values() for part in stack]
     for target in (*range(1, 601), 1000, 2000, 5000):

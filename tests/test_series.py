@@ -197,7 +197,8 @@ def test_want_digits_below_zero_names_the_bound():
 @pytest.mark.parametrize(
     "call",
     (
-        # below -30 the planner's probe of target + 30 is itself below 1
+        # the planner's first probe is the target itself, so a target below
+        # 1 must be refused by name before it
         lambda: context_for([(1, SATURN_X1)], -40),
         lambda: formulas.context_for_formula(formulas.PiFormulaId.MACHIN_ORACLE, -40),
         lambda: formulas.context_for_case(CaseId.X1, -40),
@@ -599,26 +600,44 @@ def test_result_certifies_its_target_or_is_refused(weight, target):
 
 
 def test_context_counts_every_series_at_its_weight():
-    # planned at 31 digits SATURN sums 47 terms for 25 ulps, two guard digits
-    # for the certificate, one forfeited and 8 spare; four times over, or at
-    # weight 4 or -4, its 100 ulps need a third digit
+    # planned at 11 digits SATURN sums 15 terms for 9 ulps: one guard digit
+    # for the certificate, one forfeited and 8 spare; twice over, or at
+    # weight 2 or -2, its 18 ulps need a second digit, and at scale 12 its
+    # 16 terms still cost 18
     spec = series_for_case(CaseId.X1, Component.SATURN)
-    assert oracles.brute_terms_needed(*spec_fields(spec), 31) == 47
-    assert context_for([(1, spec)], 1) == PrecisionContext(1, 11)
-    assert context_for([(1, spec)] * 2, 1) == context_for([(2, spec)], 1)
-    for stack in ([(1, spec)] * 4, [(4, spec)], [(-4, spec)]):
-        assert context_for(stack, 1) == PrecisionContext(1, 12)
+    assert oracles.brute_terms_needed(*spec_fields(spec), 11) == 15
+    assert oracles.brute_terms_needed(*spec_fields(spec), 12) == 16
+    assert context_for([(1, spec)], 1) == PrecisionContext(1, 10)
+    for stack in ([(1, spec)] * 2, [(2, spec)], [(-2, spec)]):
+        assert context_for(stack, 1) == PrecisionContext(1, 11)
 
 
-@pytest.mark.parametrize("target,terms,guard", ((167, 195, 11), (168, 196, 11), (169, 197, 12)))
+@pytest.mark.parametrize("target,terms,guard", ((186, 195, 11), (187, 196, 11), (188, 197, 12)))
 def test_context_guard_crosses_a_decade_of_ulps(target, terms, guard):
-    # ratio 1/10 over denominators k+1: one more term per probe digit here,
-    # so the three targets are certified to 99, 99 and 100 ulps, and only
-    # the last, whose odd count still rounds its half up, needs a third
-    # digit for the certificate
+    # ratio 1/10 over denominators k+1: one more term per scale digit here,
+    # so at guard 11 the three targets are certified to 99, 99 and 100 ulps,
+    # and only the last, whose odd count still rounds its half up, needs a
+    # third digit for the certificate
     spec = SeriesSpec(1, 1, 1, 1, 10)
-    assert oracles.brute_terms_needed(*spec_fields(spec), target + 30) == terms
+    assert oracles.brute_terms_needed(*spec_fields(spec), target + 11) == terms
     assert context_for([(1, spec)], target) == PrecisionContext(target, guard)
+
+
+MACHIN = [(16, formulas.arctan_recip_spec(5)), (-4, formulas.arctan_recip_spec(239))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=STACKS, target=st.integers(min_value=1, max_value=60))
+# pi by Machin at 1 digit, and a stack whose weights are all 0
+@example(stack=MACHIN, target=1)
+@example(stack=[(0, SATURN_X1)], target=5)
+def test_context_guard_is_the_least_that_leaves_8_spare_digits(stack, target):
+    ctx = context_for(stack, target)
+    assert eval_series(stack, ctx).guaranteed_digits == target + 8
+    # the guard is the least, and one guard digit adds at most one certified
+    # digit, so one fewer leaves exactly 7
+    fewer = ctx._replace(guard_digits=ctx.guard_digits - 1)
+    assert eval_series(stack, fewer).guaranteed_digits == target + 7
 
 
 def test_context_for_no_series_takes_the_guard_floor():
@@ -638,9 +657,8 @@ def test_context_for_no_series_takes_the_guard_floor():
     ids=("weight_1e23", "weight_1e51", "weight_1e200"),
 )
 def test_heavy_weight_guard_keeps_its_spare_digits(weight, case, component, target):
-    # these guards exceed the 30-digit look-ahead, so the evaluator sums more
-    # terms than a certificate planned at target + 30 counts; planned again
-    # at the guard's own scale, the 8 spare digits still hold
+    # guards above 30 digits: the certificate is planned at the scale the
+    # guard gives, so the 8 spare digits still hold
     stack = [(weight, series_for_case(case, component))]
     ctx = context_for(stack, target)
     assert ctx.guard_digits > 30
