@@ -116,10 +116,17 @@ def series_bracket(
 def brute_terms_needed(
     pn: int, pd: int, offset: int, step: int, q_den: int, target_digits: int
 ) -> int:
-    """Linear scan for the smallest N with |term_N| < 10**-target_digits."""
-    bound = Fraction(1, 10**target_digits)
+    """Linear scan for the smallest N with |term_N| < 10**-target_digits.
+
+    |term_N| = pn / (pd * q_den^N * (offset + step*N)), so the test is
+    ``pn * 10^target_digits < pd * q_den^N * (offset + step*N)`` in plain
+    integers, with ``pd * q_den^N`` stepped by one multiply per term.
+    """
+    lhs = pn * 10**target_digits
+    scaled = pd
     n = 0
-    while abs(series_term(pn, pd, offset, step, q_den, n)) >= bound:
+    while lhs >= scaled * (offset + step * n):
+        scaled *= q_den
         n += 1
     return n
 

@@ -237,14 +237,19 @@ def test_terms_needed_frozen_values():
 
 
 def test_terms_needed_matches_brute_force():
+    # the float seed leaves out log(offset + step*N) / log(q_den), so large
+    # denominators and small ratios send the search many steps down from its
+    # seed
     rng = random.Random(5)
-    for _ in range(60):
-        pn = rng.randrange(1, 17)
-        pd = rng.randrange(1, 65)
-        offset = rng.randrange(1, 13)
-        step = rng.randrange(1, 13)
-        q_den = rng.randrange(2, 2001)
-        target = rng.randrange(1, 45)
+
+    def up_to(digits):
+        return rng.randrange(1, 10 ** rng.randint(1, digits) + 1)
+
+    for _ in range(300):
+        pn, pd = up_to(30), up_to(30)
+        offset, step = up_to(6), up_to(6)
+        q_den = rng.choice((2, 3, 4, 5, 64, 1024, 57121, rng.randrange(2, 2001)))
+        target = rng.randrange(1, 3001)
         spec = SeriesSpec(pn, pd, offset, step, q_den)
         n = terms_needed(spec, target)
         assert n == oracles.brute_terms_needed(pn, pd, offset, step, q_den, target)
@@ -252,6 +257,23 @@ def test_terms_needed_matches_brute_force():
     # it is still summed and the first omitted term is term 2
     assert terms_needed(SeriesSpec(1, 1, 1, 9, 10), 2) == 2
     assert oracles.brute_terms_needed(1, 1, 1, 9, 10, 2) == 2
+
+
+def test_brute_terms_needed_is_its_definition():
+    # the oracle's integer scan against the smallest N whose exact term is
+    # below 10**-t; the tie's term 1 equals 10**-2 and still counts
+    rng = random.Random(7)
+    cases = [((1, 1, 1, 9, 10), 2)]
+    for _ in range(300):
+        raw = (rng.randrange(1, 17), rng.randrange(1, 65), rng.randrange(1, 13),
+               rng.randrange(1, 13), rng.randrange(2, 300))
+        cases.append((raw, rng.randrange(1, 30)))
+    for raw, target in cases:
+        bound = Fraction(1, 10**target)
+        n = 0
+        while abs(oracles.series_term(*raw, n)) >= bound:
+            n += 1
+        assert oracles.brute_terms_needed(*raw, target) == n, (raw, target)
 
 
 def test_terms_needed_is_minimal():
