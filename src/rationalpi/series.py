@@ -13,45 +13,49 @@ x = 1, 1/2, 1/4 that ratio is 1/4, 1/64 and 1/1024, so consecutive terms
 shrink by at least those factors and the first omitted term bounds the
 truncation error.
 
-Term ``k`` is stored as exactly ``floor(pn * 10^s / (pd * q_den^k * d_k))``
-at working scale ``s``, with ``d_k = offset + step*k``.  Every way of
-computing it rests on ``floor(floor(x / m) / n) = floor(x / (m*n))`` for
-integers ``x >= 0`` and ``m, n >= 1``: a floor taken in steps is the floor of
-the whole quotient, so any split of ``pd * q_den^k * d_k`` into successive
-divisors stores the same integer.
+Each series is summed in one of two ways, and both store exact floors at
+working scale ``s``.
 
-The evaluator picks the split that makes the fewest passes over the
-working-size integer.  CPython divides by a divisor below
+When ``pn = 1``, ``pd = 2^a`` and ``q_den = 2^b``, as in all nine case
+series, term ``k`` is stored as exactly ``floor(10^s / (2^e * d_k))`` with
+``d_k = offset + step*k`` and ``e = a + b*k``.  For integers ``x >= 0``
+and ``m, n >= 1``, ``floor(floor(x / m) / n) = floor(x / (m*n))``: a floor
+taken in steps is the floor of the whole quotient.  So a term that shares
+its denominator ``d`` with a term of smaller exponent ``e0`` is that term
+shifted right by ``e - e0`` bits, and such series are summed together in
+one pass over their denominators from largest to smallest: each distinct
+``d`` costs one long division, and every other term with it one shift of
+that base.  CPython divides by a divisor below
 ``2**sys.int_info.bits_per_digit`` (2^30 on 64-bit builds) in one linear
 pass, and by a wider one with schoolbook long division at about twice the
-cost; a shift or an add costs a fifth of either.  So a power of the ratio is
-folded into a divisor for as long as the product still fits one digit.
+cost; a shift or an add costs a fifth of either.  So the base divides one
+shifted numerator ``10^s >> ex`` by the folded divisor ``d << (e0 - ex)``,
+and that numerator is shifted afresh only when the folded divisor would no
+longer fit one digit.  JUPITER's ``2k'+1`` is SATURN's ``4k+1`` or MARS's
+``4k+3``, and the x = 1/4 stack repeats the denominators of x = 1/2, so the
+pass makes about 0.42 long divisions per term on the ``combined`` route and
+0.67 on ``case1``.  Smallest terms come first, so the running sums stay as
+long as the terms being added.
 
-:func:`eval_series` sums a weighted stack of series.  When ``pn = 1``,
-``pd = 2^a`` and ``q_den = 2^b``, as in all nine case series, the term is
-``floor(10^s / (2^e * d_k))`` with ``e = a + b*k``, and a term that shares
-its denominator ``d`` with a term of smaller exponent ``e0`` is that term
-shifted right by ``e - e0`` bits.  Such series are therefore summed together
-in one pass over their denominators from largest to smallest: each distinct
-``d`` costs one long division, and every other term with it one shift of
-that base.  The base divides one shifted numerator ``10^s >> ex`` by the
-folded divisor ``d << (e0 - ex)``, and that numerator is shifted afresh only
-when the folded divisor would no longer fit one digit.  JUPITER's ``2k'+1``
-is SATURN's ``4k+1`` or MARS's ``4k+3``, and the x = 1/4 stack repeats the
-denominators of x = 1/2, so the pass makes about 0.42 long divisions per
-term on the ``combined`` route and 0.67 on ``case1``.  Smallest terms come
-first, so the running sums stay as long as the terms being added.  Any other
-series, a power-of-two one with another ``pn`` included, is summed forward
-from a running power, several terms per power while ``q_den^j * d`` fits one
-digit.  All ways store the same integers, so values never depend on which
-series share a pass or on the interpreter's digit size.
+Any other series, Machin's ``arctan(1/5)`` and ``arctan(1/239)`` and a
+power-of-two one with another ``pn`` included, is summed in blocks by
+binary splitting (Haible and Papanikolaou, "Fast multiprecision evaluation
+of series of rational numbers", 1998).  Its ``[0, N)`` is cut into blocks
+``[lo, hi)``: a block grows until the bit lengths of its denominators,
+summed, reach three quarters of the bit length of ``pn * 10^s``, and every
+block but the last holds at least two terms.  A product tree gives the
+block's exact sum ``(-1)^lo * T / (B * q_den^(hi-lo-1))`` with
+``B = prod d_k``, so the block costs one long division: it is stored as
+``floor(pn * T * 10^s / (pd * B * q_den^(hi-1)))`` with the sign of
+``(-1)^lo``.  A series' stored value never depends on which series share a
+pass or on the interpreter's digit size.
 
 Term counts are fixed up front by :func:`terms_needed` against the full
 working scale, which pushes the series remainder below one working ulp.
 The package has one error rule, ``_certify``: ``ceil(N/2) + 1`` ulps per
-series of ``N`` terms, for the floored terms and the remainder however they
-were stored.  :func:`eval_series` proves it and refuses from it, and
-:func:`context_for` sizes the guard from it at the same scale.
+series of ``N`` terms, for the floored terms or blocks and the remainder.
+:func:`eval_series` proves it and refuses from it, and :func:`context_for`
+sizes the guard from it at the same scale.
 """
 
 import enum
@@ -205,24 +209,26 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
 
     ``specs`` is a weighted stack ``[(weight, spec), ...]`` of series.
     Each series ``i`` sums its minimal ``N_i = terms_needed(spec, scale)``
-    terms (at least one), and term ``k`` is stored as exactly
-    ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` with
-    ``d_k = offset + step*k``.  A series with ``pn = 1`` whose ``pd`` and
+    terms (at least one).  A series with ``pn = 1`` whose ``pd`` and
     ``q_den`` are powers of two goes through the shared pass of the module
-    docstring; any other keeps the running power.  Both fold powers of the
-    ratio into one-digit divisors where they can, and both store the same
-    terms, so the value depends neither on which series share a pass nor on
-    the folding.
+    docstring, which stores each term ``k`` as exactly
+    ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` with
+    ``d_k = offset + step*k``; any other is summed in blocks, each stored as
+    the floor of its exact sum.
 
     The certificate, from ``_certify``, is
-    ``error_ulps = sum(|weight_i| * (ceil(N_i/2) + 1))``.  Stored term ``k``
-    is ``t_k - f_k`` for its exact value ``t_k`` and some ``f_k`` in
-    ``[0, 1)`` ulps.  The signs alternate, so stored minus exact partial sum
-    is ``sum_odd f_k - sum_even f_k``, strictly between ``-ceil(N/2)`` and
-    ``floor(N/2)``.  The remainder has the sign of term ``N`` and is below
-    one ulp, as ``N`` is planned against the full scale: it lifts the upper
-    end to ``ceil(N/2)`` for odd ``N`` and lowers the lower end by one for
-    even ``N``, which alone needs the ``+ 1``.  Integer weights are exact.
+    ``error_ulps = sum(|weight_i| * (ceil(N_i/2) + 1))``.  A stored term or
+    block is its exact value truncated toward zero, so it is off by less
+    than one ulp, and the remainder has the sign of term ``N`` and is below
+    one ulp, as ``N`` is planned against the full scale.  In the shared
+    pass the signs of the terms alternate, so stored minus exact partial
+    sum is ``sum_odd f_k - sum_even f_k`` for floor losses ``f_k`` in
+    ``[0, 1)``, strictly between ``-ceil(N/2)`` and ``floor(N/2)``; the
+    remainder lifts the upper end to ``ceil(N/2)`` for odd ``N`` and lowers
+    the lower end by one for even ``N``, which alone needs the ``+ 1``.  A
+    series of ``M`` blocks is off by less than ``M + 1`` ulps, and every
+    block but the last holds at least two terms, so ``M <= ceil(N/2)``.
+    Integer weights are exact.
 
     That certificate depends only on the planned ``N_i``, so it is known
     before any term is summed: :class:`InsufficientPrecisionError` is raised
@@ -243,7 +249,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
         if spec.prefactor_num == 1 and (spec.prefactor_den * spec.q_den).bit_count() == 1:
             shared.append((i, spec, n))
         else:
-            sums[i] = _running_power_sum(spec, n, scale)
+            sums[i] = _block_sum(spec, n, scale)
     _shared_pass(shared, sums, scale)
 
     total = FixedPoint(0, 0, scale)
@@ -258,34 +264,50 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     )
 
 
-def _running_power_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
-    """The first ``n`` terms, summed forward from a base power.
+def _block_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
+    """The first ``n`` terms, one floor per block of :func:`_cuts`: block
+    ``[lo, hi)`` stores ``floor(pn * T * 10^s / (pd * B * q_den^(hi-1)))``
+    with the sign of ``(-1)^lo``, for ``(T, B)`` from :func:`_split`."""
+    numerator = spec.prefactor_num * 10**scale
+    units = 0
+    for lo, hi in _cuts(spec, n, 3 * numerator.bit_length() // 4):
+        t, b = _split(spec, lo, hi)
+        block = numerator * t // (spec.prefactor_den * b * spec.q_den ** (hi - 1))
+        units += -block if lo & 1 else block
+    return FixedPoint((units > 0) - (units < 0), abs(units), scale)
 
-    The first base is one division of the prefactor numerator by its
-    denominator.  From base ``P_k``, term ``k + j`` is one division by the
-    folded divisor ``q_den**j * d_{k+j}``, and the next base is
-    ``P_k // q_den**J`` after ``J`` terms.  ``J`` grows while
-    ``q_den**J * max(q_den, d_{k+J})`` fits one CPython digit, so every
-    folded division is a single-digit pass; a ``q_den`` or ``d`` too large
-    for that keeps one term per base, one division by ``q_den`` and one by
-    ``d``.  The nested-floor identity makes each term
-    ``floor(pn * 10^s / (pd * q_den^(k+j) * d_{k+j}))`` whatever ``J`` is.
-    """
-    limit = 1 << _DIGIT_BITS
-    q = spec.q_den
-    # a SeriesSpec's prefactor_num is at least 1, so the magnitude is positive
-    power = fx_div_small(FixedPoint(1, spec.prefactor_num * 10**scale, scale), spec.prefactor_den)
-    total = FixedPoint(0, 0, scale)
-    fold = 1  # q**j for the j-th term stored from the current base
+
+def _cuts(spec: SeriesSpec, n: int, target: int) -> Iterator[tuple[int, int]]:
+    """Blocks ``[lo, hi)`` that cover ``[0, n)`` in order.  A block ends at
+    the first term where its denominators' bit lengths, summed, reach
+    ``target`` and it holds at least two terms; the last block takes what
+    is left."""
+    offset, step = spec.offset, spec.step
+    lo = bits = 0
     for k in range(n):
-        d = spec.denominator(k)
-        if fold > 1 and fold * max(q, d) >= limit:
-            power = fx_div_small(power, fold)
-            fold = 1
-        term = fx_div_small(power, fold * d)
-        total = fx_add(total, fx_mul_small(term, -1 if k & 1 else 1))
-        fold *= q
-    return total
+        bits += (offset + step * k).bit_length()
+        if bits >= target and k > lo:
+            yield lo, k + 1
+            lo, bits = k + 1, 0
+    if lo < n:
+        yield lo, n
+
+
+def _split(spec: SeriesSpec, lo: int, hi: int) -> tuple[int, int]:
+    """``(T, B)`` with ``B = prod d_k`` and
+    ``sum_{lo<=k<hi} (-1)^(k-lo) / (q_den^(k-lo) * d_k) = T / (B * q_den^(hi-lo-1))``.
+
+    Halves ``[lo, mid)`` and ``[mid, hi)`` merge over their common
+    denominator: ``T = T_l * B_r * q_den^(hi-mid) + (-1)^(mid-lo) * T_r * B_l``.
+    """
+    if hi - lo == 1:
+        return 1, spec.denominator(lo)
+    mid = (lo + hi) // 2
+    t_left, b_left = _split(spec, lo, mid)
+    t_right, b_right = _split(spec, mid, hi)
+    t_right *= b_left
+    t_left *= b_right * spec.q_den ** (hi - mid)
+    return t_left - t_right if (mid - lo) & 1 else t_left + t_right, b_left * b_right
 
 
 def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[int, ...]]:

@@ -33,7 +33,7 @@ def jupiter_fault(monkeypatch):
 
     The fault reaches ``arctan(1/3)``, so the ``combined`` route and the
     identity read off it against ``case1``; ``verify`` must report it.  The
-    doubled series takes the running power, not the shared pass.
+    doubled series is summed in blocks, not in the shared pass.
     """
     real = formulas.series_for_case
 

@@ -131,16 +131,37 @@ def brute_terms_needed(
     return n
 
 
+def block_cuts(offset: int, step: int, n_terms: int, target_bits: int) -> list[tuple[int, int]]:
+    """Blocks ``[lo, hi)`` over ``range(n_terms)``: a block takes terms
+    until it holds two or more and the bit lengths of its denominators
+    ``offset + step*k`` add up to ``target_bits`` or more; the last block
+    takes whatever is left."""
+    cuts = []
+    lo = 0
+    while lo < n_terms:
+        hi = lo
+        bits = 0
+        while hi < n_terms and (hi - lo < 2 or bits < target_bits):
+            bits += (offset + step * hi).bit_length()
+            hi += 1
+        cuts.append((lo, hi))
+        lo = hi
+    return cuts
+
+
 def stack_floor_sum(
     stack: list[tuple[int, tuple[int, int, int, int, int]]], scale: int
 ) -> tuple[int, int, tuple[int, ...]]:
     """Plain-integer value, certificate and term counts of a weighted stack
     of ``(weight, (pn, pd, offset, step, q_den))`` series at ``scale``.
 
-    Series i sums ``N_i = max(1, brute_terms_needed(..., scale))`` terms,
-    each truncated to ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` ulps.
-    Returns ``sum(w * sum((-1)^k * term_k))``, ``sum(|w| * (ceil(N_i/2) + 1))``
-    and the ``N_i``.
+    Series i sums ``N_i = max(1, brute_terms_needed(..., scale))`` terms.
+    With ``pn = 1`` and a power-of-two ``pd * q_den``, each term is
+    truncated to ``floor(pn * 10^scale / (pd * q_den^k * d_k))`` ulps.  Any
+    other series is cut by :func:`block_cuts` at three quarters of the bit
+    length of ``pn * 10^scale``, and each block is its exact ``Fraction``
+    sum truncated toward zero.  Returns ``sum(w * stored_i)``,
+    ``sum(|w| * (ceil(N_i/2) + 1))`` and the ``N_i``.
     """
     value = certificate = 0
     counts = []
@@ -148,11 +169,19 @@ def stack_floor_sum(
         n = max(1, brute_terms_needed(pn, pd, offset, step, q_den, scale))
         numerator = pn * 10**scale
         partial = 0
-        for k in range(n):
-            term = numerator // (pd * q_den**k * (offset + step * k))
-            partial += -term if k & 1 else term
+        if pn == 1 and (pd * q_den) & (pd * q_den - 1) == 0:
+            for k in range(n):
+                term = numerator // (pd * q_den**k * (offset + step * k))
+                partial += -term if k & 1 else term
+        else:
+            for lo, hi in block_cuts(offset, step, n, 3 * numerator.bit_length() // 4):
+                exact = sum(
+                    (series_term(pn, pd, offset, step, q_den, k) for k in range(lo, hi)),
+                    Fraction(0),
+                ) * 10**scale
+                # int() truncates toward zero, the block's sign is kept
+                partial += int(exact)
         value += weight * partial
         certificate += abs(weight) * (-(-n // 2) + 1)
         counts.append(n)
     return value, certificate, tuple(counts)
-

@@ -257,8 +257,8 @@ VERIFY_50 = """\
 PASS  factorization 4+x^4: coefficients (4, 0, 0, 0, 1)
 PASS  arctan identity: residual 10 ulps <= bound 490 ulps (scale 63)
 PASS  pi case1 vs combined: diff 40 ulps <= bound 1960 ulps
-PASS  pi case1 vs machin: diff 28 ulps <= bound 1420 ulps
-PASS  pi combined vs machin: diff 12 ulps <= bound 1340 ulps
+PASS  pi case1 vs machin: diff 72 ulps <= bound 1420 ulps
+PASS  pi combined vs machin: diff 32 ulps <= bound 1340 ulps
 """
 
 
@@ -267,7 +267,7 @@ def test_verify_fault_injection_exits_one(jupiter_fault, capsys):
     assert code == 1
     assert out.splitlines()[1] == (
         "FAIL  arctan identity: residual "
-        "124354994546761435031354849163871025573170191769804089915114110 ulps "
+        "124354994546761435031354849163871025573170191769804089915114098 ulps "
         "<= bound 490 ulps (scale 63)"
     )
 

@@ -31,7 +31,7 @@ from rationalpi.formulas import (
     sun,
     verify_factorization,
 )
-from rationalpi.series import CaseId, Component, series_for_case
+from rationalpi.series import CaseId, Component, context_for, series_for_case
 
 import oracles
 
@@ -186,6 +186,24 @@ def test_sun_refuses_an_argument_that_is_not_a_fraction_or_an_int(arg):
 def test_sun_takes_the_int_one_as_arctan_of_one():
     ctx = context_for_formula(PiFormulaId.CASE1, 30)
     assert sun([(4, 1)], ctx) == compute_pi(PiFormulaId.CASE1, ctx)
+
+
+# pi by two more Machin-like formulas: the ratios 1/324, 1/3249 and 1/57121
+# go to the block sum, and Stormer's arctan(1/8) (ratio 1/64, prefactor
+# 1/8) to the shared pass beside them
+MACHIN_LIKE = {
+    "gauss": ((48, Fraction(1, 18)), (32, Fraction(1, 57)), (-20, Fraction(1, 239))),
+    "stormer": ((24, Fraction(1, 8)), (8, Fraction(1, 57)), (4, Fraction(1, 239))),
+}
+
+
+@pytest.mark.parametrize("digits", (1, 50, 1000, 2000))
+@pytest.mark.parametrize("name", sorted(MACHIN_LIKE))
+def test_machin_like_formulas_render_the_digits_of_case1(name, digits):
+    terms = MACHIN_LIKE[name]
+    ctx = context_for([(coeff, arctan_recip_spec(arg.denominator)) for coeff, arg in terms], digits)
+    case1 = compute_pi(PiFormulaId.CASE1, context_for_formula(PiFormulaId.CASE1, digits))
+    assert digits_of(sun(terms, ctx), digits) == digits_of(case1, digits)
 
 
 @settings(max_examples=200, deadline=None)
@@ -493,7 +511,7 @@ def test_weighted_arctangents_equal_plain_integer_floor_sums(terms, target, guar
 @pytest.mark.parametrize("fault", (False, True))
 def test_identity_check_equals_plain_integer_floor_sums(digits, fault, request):
     # 2*arctan(1/3) + arctan(1/7) - arctan(1), optionally with JUPITER(x=1/2)
-    # given a doubled prefactor numerator, which sends it to the running power
+    # given a doubled prefactor numerator, which sends it to the block sum
     stack = paper_stack(2, 2, jupiter_num=2 if fault else 1)
     stack += paper_stack(4, 1) + paper_stack(1, -1)
     if fault:
@@ -519,7 +537,7 @@ def divisions(monkeypatch):
     return seen
 
 
-def test_shared_pass_makes_one_long_division_per_denominator(divisions):
+def test_shared_pass_makes_one_long_division_per_denominator(divisions, monkeypatch):
     # (divisions by a non-power of two, power-of-two divisions of the whole
     # numerator 10^scale): one long division per distinct denominator, and
     # the numerator is shifted afresh only when a folded divisor would no
@@ -534,14 +552,25 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions):
         whole = 10**ctx.scale
         shifts = sum(1 for a, m in divisions if not m & (m - 1) and a.magnitude % whole == 0)
         assert shifts == numerator_shifts, route
-    # Machin keeps the running power, but folds up to six terms of 1/5 into
-    # one base: the two prefactors, every denominator but d = 1 and one base
-    # step per fold are long divisions (2*terms - 2 = 202 one term at a time)
+    # Machin's two series are summed in blocks, with no division per term:
+    # one floor for each of the three blocks its 102 terms are cut into, at
+    # the cuts the oracle draws (137 per-term long divisions before blocks)
     divisions.clear()
+    blocks = []
+    real_cuts = series._cuts
+
+    def recording_cuts(spec, n, target):
+        cuts = list(real_cuts(spec, n, target))
+        assert cuts == oracles.block_cuts(spec.offset, spec.step, n, target)
+        blocks.extend(cuts)
+        return cuts
+
+    monkeypatch.setattr(series, "_cuts", recording_cuts)
     route = PiFormulaId.MACHIN_ORACLE
     result = compute_pi(route, context_for_formula(route, 100))
     assert result.terms_used == 102
-    assert sum(1 for _, m in divisions if m & (m - 1)) == 137
+    assert divisions == []
+    assert blocks == [(0, 49), (49, 79), (0, 23)]
 
 
 @pytest.mark.parametrize("digits", (100, 3000))

@@ -358,7 +358,7 @@ def test_ledger_covers_exact_series_value(spec, digits):
 
 
 # numerator 1 in about half the draws: only a power-of-two series with pn = 1
-# takes the shared pass, and every other one the running power
+# takes the shared pass, and every other one the block sum
 NUMERATORS = st.one_of(st.just(1), st.integers(min_value=2, max_value=6))
 # weighted stacks: small offsets and steps so that series share denominators,
 # with odd steps for even denominators
@@ -394,7 +394,7 @@ def identity_stack(jupiter_num=1):
     series, optionally with JUPITER(x=1/2) given the numerator
     ``jupiter_num``: no command sums x = 1, 1/2 and 1/4 in one pass, so
     these stacks keep such a pass pinned.  A doubled JUPITER numerator
-    takes the running power, and the other eight series keep the pass."""
+    takes the block sum, and the other eight series keep the pass."""
     stack = []
     for case, weight in ((CaseId.X_HALF, 2), (CaseId.X_QUARTER, 1), (CaseId.X1, -1)):
         for component, inner in zip(ALL_COMPONENTS, (2, 2, 1)):
@@ -424,16 +424,16 @@ def assert_equals_floor_sums(stack, digits):
 @example(stack=identity_stack(), digits=120)
 @example(stack=identity_stack(jupiter_num=2), digits=120)
 # the same progression and powers of two, split by numerator: pn = 1 takes
-# the shared pass and pn = 3 the running power
+# the shared pass and pn = 3 the block sum
 @example(stack=[(1, SeriesSpec(1, 8, 1, 2, 4)), (2, SeriesSpec(3, 8, 1, 2, 4))], digits=60)
 def test_stack_equals_plain_integer_floor_sums(stack, digits):
     assert_equals_floor_sums(stack, digits)
 
 
-# with 30-bit digits the running power stores two terms per base for
-# q_den = 2**15 - 1 and denominators below it, whose product fits one digit,
-# and one for 2**15 or 2**15 + 1; with pn = 1 and a power-of-two prefactor
-# denominator 2**15 goes to the shared pass instead
+# with pn = 1 and a power-of-two prefactor denominator, q_den = 2**15 goes
+# to the shared pass, where 30-bit digits leave too little headroom to fold
+# its shift into the next denominator's divisor; 2**15 - 1 and 2**15 + 1,
+# and any other numerator or prefactor denominator, go to the block sum
 FOLD_EDGE_SPECS = st.builds(
     SeriesSpec,
     prefactor_num=NUMERATORS,
@@ -487,8 +487,8 @@ def test_fold_edges_equal_plain_integer_floor_sums(stack, digits):
 @given(stack=STACKS, digits=st.integers(min_value=1, max_value=120))
 @example(stack=TWICE, digits=40)
 def test_narrow_digits_equal_plain_integer_floor_sums(bits, stack, digits):
-    # a narrow digit makes the running power fold rarely and the shared pass
-    # shift afresh often, as on a 15-bit-digit build
+    # a narrow digit makes the shared pass shift afresh often, as on a
+    # 15-bit-digit build; the block sum does not read the digit size
     divisors = []
     real = series.fx_div_small
 
@@ -533,7 +533,11 @@ FLOOR_STACKS = st.lists(
             SeriesSpec,
             prefactor_num=st.integers(min_value=1, max_value=6),
             prefactor_den=st.sampled_from((1, 2, 4, 8, 3, 5, 7)),
-            offset=st.integers(min_value=1, max_value=6),
+            # a 40-bit denominator alone meets a block's bit target, three
+            # quarters of the bits of pn * 10**scale, up to about scale 16,
+            # so such blocks hold exactly two terms
+            offset=st.one_of(st.integers(min_value=1, max_value=6),
+                             st.integers(min_value=1, max_value=10**12)),
             step=st.integers(min_value=1, max_value=4),
             q_den=st.sampled_from((2, 4, 64, 1024, 3, 9, 25)),
         ),
@@ -553,6 +557,9 @@ FLOOR_STACKS = st.lists(
 # remainder of 0.67 after them, so the value is 1.33 ulps low; ceil(N/2)
 # alone would charge 1
 @example([(1, SeriesSpec(1, 2, 3, 2, 10))], PrecisionContext(1, 2))
+# 12 terms in six blocks of two, as each 40-bit denominator meets the
+# 40-bit target at scale 16: ceil(N/2) blocks, the most the certificate allows
+@example([(1, SeriesSpec(1, 3, 10**12, 1, 2))], PrecisionContext(14, 2))
 def test_certificate_bounds_the_floored_stack(stack, ctx):
     # |stored - exact| < sum(|w| * (ceil(N/2) + 1)) ulps, strictly, at both
     # ends of the weighted oracle bracket, whatever guard the caller chose
@@ -571,6 +578,27 @@ def test_certificate_bounds_the_floored_stack(stack, ctx):
     assert max(abs(value - lo), abs(value - hi)) < result.error_ulps * ulp
     assert result.error_ulps == sum(abs(weight) * (-(-n // 2) + 1)
                                     for (weight, _), n in zip(stack, result.component_terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offset=st.one_of(st.integers(min_value=1, max_value=6),
+                     st.integers(min_value=1, max_value=10**12)),
+    step=st.integers(min_value=1, max_value=2**20),
+    n=st.integers(min_value=1, max_value=300),
+    target=st.integers(min_value=1, max_value=400),
+)
+# every denominator alone passes the target
+@example(offset=10**12, step=1, n=5, target=8)
+def test_block_cuts_cover_the_terms_two_or_more_at_a_time(offset, step, n, target):
+    cuts = list(series._cuts(SeriesSpec(1, 3, offset, step, 5), n, target))
+    # in order and without a gap from 0 to n, every block but the last of
+    # two terms or more, so the certificate's ceil(n/2) covers the blocks
+    assert [lo for lo, _ in cuts] == [0, *(hi for _, hi in cuts[:-1])]
+    assert cuts[-1][1] == n and cuts[-1][0] < n
+    assert all(hi - lo >= 2 for lo, hi in cuts[:-1])
+    assert len(cuts) <= (n + 1) // 2
+    assert cuts == oracles.block_cuts(offset, step, n, target)
 
 
 def test_alternating_remainder_bounded_by_first_omitted_term():
@@ -600,7 +628,7 @@ def test_weighted_stack_refused_from_its_certificate_before_summing(monkeypatch)
     # 30; the weight multiplies those ulps, and the weighted certificate
     # covers 19
     monkeypatch.setattr(series, "_shared_pass", _no_summing)
-    monkeypatch.setattr(series, "_running_power_sum", _no_summing)
+    monkeypatch.setattr(series, "_block_sum", _no_summing)
     stack = [(10**9, series_for_case(CaseId.X_HALF, Component.SATURN))]
     with pytest.raises(InsufficientPrecisionError) as info:
         eval_series(stack, PrecisionContext(20, 10))
