@@ -169,10 +169,12 @@ def test_digit_cap_refuses_before_planning(argv, planning_blocked, capsys):
         main(argv + [str(cli.DEFAULT_MAX_DIGITS)])
 
 
-@pytest.mark.parametrize("digits", range(1, 10))
+@pytest.mark.parametrize("digits", (*range(1, 10), 3000))
 def test_verify_checks_every_digit_count(digits, capsys):
     # verify takes every --digits the other subcommands take, and all five
-    # checks pass at the smallest ones too
+    # checks pass at the smallest ones too, and at 3000, where Machin's
+    # arctan(1/5) is summed in four blocks and the shared pass shifts and
+    # re-bases its folded divisors
     code, out, err = run_cli(["verify", "--digits", str(digits)], capsys)
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -276,6 +278,17 @@ def test_verify_prints_pass_lines(capsys):
     code, out, _ = run_cli(["verify", "--digits", "50"], capsys)
     assert code == 0
     assert out == VERIFY_50
+
+
+def test_machin_prints_each_prefix_of_pi_up_to_400_digits(capsys):
+    # every --digits from 1 to 400 through main, against a truncation of
+    # case1's 400 digits: a block sum that strays past its certificate, or a
+    # refusal, fails here
+    code, reference, _ = run_cli(["pi", "--method", "case1", "--digits", "400"], capsys)
+    assert code == 0
+    for digits in range(1, 401):
+        code, out, _ = run_cli(["pi", "--method", "machin", "--digits", str(digits)], capsys)
+        assert (code, out) == (0, reference[:digits + 2] + "\n"), digits
 
 
 def test_verify_sums_each_distinct_series_once(request, monkeypatch, capsys):

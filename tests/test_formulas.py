@@ -1,5 +1,6 @@
 import decimal
 import functools
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -204,6 +205,27 @@ def test_machin_like_formulas_render_the_digits_of_case1(name, digits):
     ctx = context_for([(coeff, arctan_recip_spec(arg.denominator)) for coeff, arg in terms], digits)
     case1 = compute_pi(PiFormulaId.CASE1, context_for_formula(PiFormulaId.CASE1, digits))
     assert digits_of(sun(terms, ctx), digits) == digits_of(case1, digits)
+
+
+# SHA-256 of pi to 20000 digits as the CLI prints it, its newline included,
+# from perfbench/refdigits.py (Chudnovsky, independent of the package)
+PI_20000_SHA256 = "6ede26ecb55d6ae7e36d8f97c0fe4a9c9f9c82ba93c58b0b1b9e9670e367d910"
+
+
+@pytest.mark.parametrize("name", ["machin", *sorted(MACHIN_LIKE)])
+def test_block_summed_formulas_render_pi_at_20000_digits(name):
+    # at this size every block-summed series here is cut into two to four
+    # blocks, so a fault in the cuts, the merge or a block's floor shows in
+    # the printed digits
+    if name == "machin":
+        route = PiFormulaId.MACHIN_ORACLE
+        result = compute_pi(route, context_for_formula(route, 20000))
+    else:
+        terms = MACHIN_LIKE[name]
+        result = sun(terms, context_for(
+            [(coeff, arctan_recip_spec(arg.denominator)) for coeff, arg in terms], 20000))
+    rendered = digits_of(result, 20000) + "\n"
+    assert hashlib.sha256(rendered.encode()).hexdigest() == PI_20000_SHA256
 
 
 @settings(max_examples=200, deadline=None)
