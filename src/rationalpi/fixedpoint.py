@@ -1,10 +1,10 @@
 """Exact decimal fixed-point arithmetic with worst-case error accounting.
 
-A value is ``sign * magnitude * 10**(-scale)`` where the magnitude is an
-arbitrary-size non-negative integer and the scale counts decimal fractional
+A value is ``signed_units * 10**(-scale)`` where the units are an
+arbitrary-size signed integer and the scale counts decimal fractional
 digits.  Addition and multiplication by a small integer are exact.  Division
-by a small positive integer truncates toward zero, so it loses less than one
-unit in the last place (ulp).  The layer counts no error itself: the
+by a small positive integer floors, so it loses less than one unit in the
+last place (ulp).  The layer counts no error itself: the
 evaluator's certificate in :mod:`rationalpi.series` bounds
 ``|stored - true|``, and :func:`fx_to_decimal_string` takes that bound as an
 :class:`ErrorLedger` to certify every digit it emits.
@@ -16,9 +16,10 @@ there is no hidden rounding anywhere in the layer.
 The records are named tuples whose constructor, which ``_replace``, copy
 and pickle all go through, holds each field to one rule, as the functions
 hold the integers their callers pass: exactly an ``int``, else
-:class:`TypeError`, and at least a bound, else :class:`ValueError`.  Only
+:class:`TypeError`, and at least its bound if it has one, else
+:class:`ValueError`.  Only
 :func:`_fixed` skips the checks, for ``fx_add``, ``fx_mul_small`` and
-``fx_div_small``: they run several times per series term, so the last two
+``fx_div_small``: they run once or twice per series term, so the last two
 reach the rule behind one ``type(m) is not int`` test, and their arithmetic
 on valid operands proves the invariants.
 """
@@ -73,9 +74,9 @@ def _check_int(name: str, value, least: int | None = None) -> None:
 
 class _Checked:
     """Base of the named-tuple records whose ``__new__`` checks each field
-    against its bound in the class's ``_least``, listed first so its
-    ``_make`` replaces the inherited one, which ``_replace`` calls and which
-    would skip ``__new__``."""
+    against its bound in the class's ``_least`` (``None`` for no bound),
+    listed first so its ``_make`` replaces the inherited one, which
+    ``_replace`` calls and which would skip ``__new__``."""
 
     __slots__ = ()
 
@@ -90,57 +91,34 @@ class _Checked:
         return cls(*fields)
 
 
-class FixedPoint(_Checked, namedtuple("FixedPoint", "sign magnitude scale")):
-    """Immutable scaled integer: ``sign * magnitude * 10**(-scale)``.
-
-    Zero is canonical: sign 0 and magnitude 0 together.  The exact value is
-    ``signed_units / 10**scale``.
+class FixedPoint(_Checked, namedtuple("FixedPoint", "signed_units scale")):
+    """Immutable scaled integer: ``signed_units * 10**(-scale)``.
 
     Every way of building one except :func:`_fixed` runs the constructor,
-    which checks all four invariants (sign in {-1, 0, 1}, magnitude and
-    scale non-negative, canonical zero) on ``int`` fields.  :func:`_fixed`
-    is what the ``fx_*`` operations build their results with: it skips the
-    checks, because each caller's arithmetic already establishes them from
-    valid operands.  Fields are read-only, and
-    a value equals and hashes as its field tuple ``(sign, magnitude, scale)``.
+    which checks that both fields are ``int`` and the scale is not negative.
+    :func:`_fixed` is what the ``fx_*`` operations build their results with:
+    it skips the checks, because each caller's arithmetic already keeps them
+    from valid operands.  Fields are read-only, and a value equals and
+    hashes as its field tuple ``(signed_units, scale)``.
     """
 
     __slots__ = ()
-    _least = (-1, 0, 0)
+    _least = (None, 0)
 
     # a value is a number, not a sequence: tuple concatenation, repetition
     # and lexicographic order would answer silently and wrongly, so these
     # raise TypeError instead; arithmetic goes through the fx_* functions
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
-    def __new__(cls, sign: int, magnitude: int, scale: int):
-        value = super().__new__(cls, sign, magnitude, scale)
-        if sign > 1:
-            raise ValueError(f"sign must be at most 1, got {sign}")
-        if (magnitude == 0) != (sign == 0):
-            raise ValueError("zero must have sign 0 and magnitude 0, exactly")
-        return value
-
     def __repr__(self):
         # Decimal renders without the interpreter's int-to-str digit cap
-        return (
-            f"FixedPoint(sign={self.sign}, magnitude={Decimal(self.magnitude)}, "
-            f"scale={self.scale})"
-        )
-
-    @property
-    def signed_units(self) -> int:
-        # a negation, not a multiply by the sign: no limb-by-limb product
-        return -self.magnitude if self.sign < 0 else self.magnitude
+        return f"FixedPoint(signed_units={Decimal(self.signed_units)}, scale={self.scale})"
 
 
-def _fixed(sign: int, magnitude: int, scale: int) -> FixedPoint:
-    """A :class:`FixedPoint` built without the constructor's checks.
-
-    Only for results whose invariants the caller's arithmetic proves; each
-    call site says why.
-    """
-    return tuple.__new__(FixedPoint, (sign, magnitude, scale))
+def _fixed(signed_units: int, scale: int) -> FixedPoint:
+    """A :class:`FixedPoint` built without the constructor's checks, for
+    results of ``int`` arithmetic on valid operands at the operands' scale."""
+    return tuple.__new__(FixedPoint, (signed_units, scale))
 
 
 class ErrorLedger(_Checked, namedtuple("ErrorLedger", "ulps", defaults=(0,))):
@@ -190,30 +168,11 @@ def guaranteed_digit_count(scale: int, ulps: int) -> int:
 
 
 def fx_add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    """Exact sum; integer addition contributes no error.
-
-    Magnitudes are added when the signs agree and the smaller is taken from
-    the larger when they differ, so no whole integer is negated.  A zero
-    operand returns the other one as is.
-    """
+    """Exact sum; integer addition contributes no error."""
     scale = a.scale
     if b.scale != scale:
         raise ScaleMismatchError(f"scales differ: {scale} vs {b.scale}")
-    sign = a.sign
-    if not b.sign:
-        return a
-    if not sign:
-        return b
-    if sign == b.sign:
-        # both magnitudes positive, so the sum is positive under their sign
-        return _fixed(sign, a.magnitude + b.magnitude, scale)
-    if a.magnitude > b.magnitude:
-        # a positive difference keeps the larger operand's sign
-        return _fixed(sign, a.magnitude - b.magnitude, scale)
-    if a.magnitude < b.magnitude:
-        return _fixed(b.sign, b.magnitude - a.magnitude, scale)
-    # equal magnitudes of opposite sign cancel to the canonical zero
-    return _fixed(0, 0, scale)
+    return _fixed(a.signed_units + b.signed_units, scale)
 
 
 def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
@@ -221,34 +180,21 @@ def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
 
     Any error already accumulated against ``a`` scales by ``|m|``; callers
     tracking an error bound across the multiply must scale it themselves.
-    Multiplying by 1 or -1 copies no digits: the operand comes back as is
-    or with its sign flipped.
     """
     if type(m) is not int:
         _check_int("m", m)
-    if m == 1:
-        return a
-    if m == -1:
-        # flipping a valid sign keeps zero at sign 0
-        return _fixed(-a.sign, a.magnitude, a.scale)
-    if not m or not a.sign:
-        return _fixed(0, 0, a.scale)
-    # a nonzero magnitude times |m| >= 2 is positive; the sign is the product
-    if m > 0:
-        return _fixed(a.sign, a.magnitude * m, a.scale)
-    return _fixed(-a.sign, a.magnitude * -m, a.scale)
+    return _fixed(a.signed_units * m, a.scale)
 
 
 def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:
-    """Divide by a small positive integer, truncating toward zero.
+    """Divide by a small positive integer, flooring: ``signed_units // m``.
 
-    The stored quotient misses the exact one by less than one ulp, which
+    The stored quotient lies below the exact one by less than one ulp, which
     :func:`rationalpi.series.eval_series` counts in its certificate.  A
-    power of two ``m == 2**s`` divides by ``magnitude >> s``, which equals
-    ``magnitude // m`` for the non-negative magnitude and skips long
-    division.  The test builds one ``2**s`` to compare with ``m``;
-    ``m & (m - 1)`` would build two integers as large as ``m`` with a borrow
-    across them.
+    power of two ``m == 2**s`` divides by ``signed_units >> s``, which
+    floors too and skips long division.  The test builds one ``2**s`` to
+    compare with ``m``; ``m & (m - 1)`` would build two integers as large as
+    ``m`` with a borrow across them.
     """
     if type(m) is not int or m < 1:
         _check_int("m", m)
@@ -257,12 +203,8 @@ def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:
         raise ValueError("divisor must be positive")
     shift = m.bit_length() - 1
     if m == 1 << shift:
-        magnitude = a.magnitude >> shift
-    else:
-        magnitude = a.magnitude // m
-    # a floor of a non-negative magnitude is non-negative; a zero quotient
-    # takes sign 0, any other keeps the dividend's sign
-    return _fixed(a.sign if magnitude else 0, magnitude, a.scale)
+        return _fixed(a.signed_units >> shift, a.scale)
+    return _fixed(a.signed_units // m, a.scale)
 
 
 def fx_to_decimal_string(a: FixedPoint, ledger: ErrorLedger, want_digits: int) -> str:

@@ -25,7 +25,9 @@ its denominator ``d`` with a term of smaller exponent ``e0`` is that term
 shifted right by ``e - e0`` bits, and such series are summed together in
 one pass over their denominators from largest to smallest: each distinct
 ``d`` costs one long division, and every other term with it one shift of
-that base.  CPython divides by a divisor below
+that base.  Each series adds its even-indexed and its odd-indexed terms
+into two sums and subtracts the second from the first once, so no term is
+negated on its own.  CPython divides by a divisor below
 ``2**sys.int_info.bits_per_digit`` (2^30 on 64-bit builds) in one linear
 pass, and by a wider one with schoolbook long division at about twice the
 cost; a shift or an add costs a fifth of either.  So the base divides one
@@ -221,8 +223,9 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     block is its exact value truncated toward zero, so it is off by less
     than one ulp, and the remainder has the sign of term ``N`` and is below
     one ulp, as ``N`` is planned against the full scale.  In the shared
-    pass the signs of the terms alternate, so stored minus exact partial
-    sum is ``sum_odd f_k - sum_even f_k`` for floor losses ``f_k`` in
+    pass a series stores the sum of its even-indexed floors less the sum of
+    its odd-indexed ones, so stored minus exact partial sum is
+    ``sum_odd f_k - sum_even f_k`` for floor losses ``f_k`` in
     ``[0, 1)``, strictly between ``-ceil(N/2)`` and ``floor(N/2)``; the
     remainder lifts the upper end to ``ceil(N/2)`` for odd ``N`` and lowers
     the lower end by one for even ``N``, which alone needs the ``+ 1``.  A
@@ -242,7 +245,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     if guaranteed < ctx.target_digits:
         raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
 
-    sums = [FixedPoint(0, 0, scale)] * len(stack)
+    sums = [FixedPoint(0, scale)] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
         # a product of positive integers is a power of two exactly when both factors are
@@ -252,7 +255,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
             sums[i] = _block_sum(spec, n, scale)
     _shared_pass(shared, sums, scale)
 
-    total = FixedPoint(0, 0, scale)
+    total = FixedPoint(0, scale)
     for (weight, _), partial in zip(stack, sums):
         total = fx_add(total, fx_mul_small(partial, weight))
     return EvalResult(
@@ -274,7 +277,7 @@ def _block_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
         t, b = _split(spec, lo, hi)
         block = numerator * t // (spec.prefactor_den * b * spec.q_den ** (hi - 1))
         units += -block if lo & 1 else block
-    return FixedPoint((units > 0) - (units < 0), abs(units), scale)
+    return FixedPoint(units, scale)
 
 
 def _cuts(spec: SeriesSpec, n: int, target: int) -> Iterator[tuple[int, int]]:
@@ -327,10 +330,11 @@ def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[
 def _shared_pass(
     shared: list[tuple[int, SeriesSpec, int]], sums: list[FixedPoint], scale: int
 ) -> None:
-    """Add the planned terms of the series ``(i, spec, n)``, each with
-    ``pn = 1`` and power-of-two ``pd`` and ``q_den``, into ``sums[i]``,
-    largest denominator first, with one long division per distinct
-    denominator.
+    """Set ``sums[i]`` to the planned partial sum of each series
+    ``(i, spec, n)`` with ``pn = 1`` and power-of-two ``pd`` and ``q_den``,
+    adding terms largest denominator first, with one long division per
+    distinct denominator.  Even-indexed and odd-indexed terms go into two
+    sums per series, and the odd sum is subtracted once at the end.
 
     The numerator ``10^scale`` keeps one shifted copy ``X = 10^scale >> ex``.
     A group with denominator ``d`` and smallest exponent ``e0`` takes its
@@ -342,7 +346,9 @@ def _shared_pass(
     """
     bits = _DIGIT_BITS
     limit = 1 << bits
-    numerator = FixedPoint(1, 10**scale, scale)
+    numerator = FixedPoint(10**scale, scale)
+    zero = FixedPoint(0, scale)
+    halves = {i: [zero, zero] for i, _, _ in shared}
     ex = math.inf  # so the first group shifts
     group = None
     for neg_d, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):
@@ -354,7 +360,10 @@ def _shared_pass(
                 x = fx_div_small(numerator, 1 << ex)
             base = fx_div_small(x, d << (e0 - ex))
         term = base if e == e0 else fx_div_small(base, 1 << (e - e0))
-        sums[i] = fx_add(sums[i], fx_mul_small(term, -1 if k & 1 else 1))
+        half = halves[i]
+        half[k & 1] = fx_add(half[k & 1], term)
+    for i, (even, odd) in halves.items():
+        sums[i] = fx_add(even, fx_mul_small(odd, -1))
 
 
 def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:

@@ -225,9 +225,8 @@ def machin_off_by_one_unit(compute_pi):
     def faulty(formula_id, ctx):
         result = compute_pi(formula_id, ctx)
         if formula_id is PiFormulaId.MACHIN_ORACLE:
-            # pi is positive, and one more unit keeps it so
-            magnitude = result.value.magnitude + 10 ** (ctx.scale - 30)
-            result = result._replace(value=FixedPoint(1, magnitude, ctx.scale))
+            units = result.value.signed_units + 10 ** (ctx.scale - 30)
+            result = result._replace(value=FixedPoint(units, ctx.scale))
         return result
 
     return faulty

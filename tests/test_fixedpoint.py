@@ -23,61 +23,51 @@ from rationalpi.fixedpoint import (
 import oracles
 
 
-def fp(units: int, scale: int) -> FixedPoint:
-    return FixedPoint((units > 0) - (units < 0), abs(units), scale)
-
-
 # --- construction -------------------------------------------------------------
 
 
-def test_zero_is_canonical():
-    zero = fp(0, 6)
-    assert zero.sign == 0 and zero.magnitude == 0
-    with pytest.raises(ValueError):
-        FixedPoint(1, 0, 6)
-    with pytest.raises(ValueError):
-        FixedPoint(0, 5, 6)
-
-
 def test_invalid_fields_rejected():
-    with pytest.raises(ValueError):
-        FixedPoint(2, 1, 6)
-    with pytest.raises(ValueError):
-        FixedPoint(1, -1, 6)
-    with pytest.raises(ValueError):
-        FixedPoint(1, 1, -1)
+    # the units take any int and the scale any int of 0 or more, by the
+    # constructor and by _replace alike
+    valid = FixedPoint(-5, 6)
+    for units, scale in ((True, 6), (5.0, 6), (-5, -1)):
+        error = ValueError if scale < 0 else TypeError
+        with pytest.raises(error):
+            FixedPoint(units, scale)
+        with pytest.raises(error):
+            valid._replace(signed_units=units, scale=scale)
 
 
 # --- object contract ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", ("sign", "magnitude", "scale"))
+@pytest.mark.parametrize("field", ("signed_units", "scale"))
 def test_fields_are_read_only(field):
-    value = FixedPoint(1, 5, 4)
+    value = FixedPoint(5, 4)
     with pytest.raises(AttributeError):
         setattr(value, field, 2)
     with pytest.raises(AttributeError):
         delattr(value, field)
     with pytest.raises(AttributeError):
         value.extra = 1
-    assert value == FixedPoint(1, 5, 4)
+    assert value == FixedPoint(5, 4)
 
 
 def test_equality_and_hash_follow_the_fields():
-    assert FixedPoint(1, 5, 4) == FixedPoint(1, 5, 4)
-    assert hash(FixedPoint(1, 5, 4)) == hash(FixedPoint(1, 5, 4))
-    assert hash(fx_add(fp(2, 4), fp(3, 4))) == hash(FixedPoint(1, 5, 4))
-    assert len({FixedPoint(1, 5, 4), fp(5, 4), FixedPoint(-1, 5, 4)}) == 2
-    assert FixedPoint(1, 5, 4) != FixedPoint(-1, 5, 4)
-    assert FixedPoint(1, 5, 4) != FixedPoint(1, 5, 5)
-    assert FixedPoint(1, 5, 4) != FixedPoint(1, 6, 4)
+    assert FixedPoint(5, 4) == FixedPoint(5, 4)
+    assert hash(FixedPoint(5, 4)) == hash(FixedPoint(5, 4))
+    assert hash(fx_add(FixedPoint(2, 4), FixedPoint(3, 4))) == hash(FixedPoint(5, 4))
+    assert len({FixedPoint(5, 4), FixedPoint(5, 4), FixedPoint(-5, 4)}) == 2
+    assert FixedPoint(5, 4) != FixedPoint(-5, 4)
+    assert FixedPoint(5, 4) != FixedPoint(5, 5)
+    assert FixedPoint(5, 4) != FixedPoint(6, 4)
 
 
 def test_equal_to_its_field_tuple_but_no_tuple_arithmetic():
-    a, b = FixedPoint(1, 5, 4), fp(-3, 4)
-    assert a == (1, 5, 4) and (1, 5, 4) == a
-    assert hash(a) == hash((1, 5, 4))
-    assert FixedPoint(0, 0, 4) != 0
+    a, b = FixedPoint(5, 4), FixedPoint(-3, 4)
+    assert a == (5, 4) and (5, 4) == a
+    assert hash(a) == hash((5, 4))
+    assert FixedPoint(0, 4) != 0
     # a value is a number: tuple concatenation, repetition and ordering are refused
     for refused in (lambda: a + b, lambda: a * 2, lambda: 2 * a, lambda: a < b,
                     lambda: sorted([a, b])):
@@ -91,91 +81,93 @@ def test_equal_to_its_field_tuple_but_no_tuple_arithmetic():
     ids=("copy", "deepcopy", "pickle"),
 )
 def test_copies_and_pickles_are_equal(duplicate):
-    for value in (FixedPoint(1, 5, 4), fp(0, 3), fp(-(10**5010) // 7, 5010)):
+    for value in (FixedPoint(5, 4), FixedPoint(0, 3), FixedPoint(-(10**5010) // 7, 5010)):
         twin = duplicate(value)
         assert twin == value and type(twin) is FixedPoint
         with pytest.raises(AttributeError):
-            twin.sign = 0
+            twin.signed_units = 0
 
 
 # --- fx_add -------------------------------------------------------------------
 
 
 def test_add_exact_decimals():
-    assert fx_add(fp(250, 3), fp(125, 3)) == fp(375, 3)  # 0.250 + 0.125 = 0.375
+    # 0.250 + 0.125 = 0.375
+    assert fx_add(FixedPoint(250, 3), FixedPoint(125, 3)) == FixedPoint(375, 3)
 
 
 def test_add_identity():
-    x = fp(123456, 6)
-    assert fx_add(x, fp(0, 6)) == x
+    x = FixedPoint(123456, 6)
+    assert fx_add(x, FixedPoint(0, 6)) == x
 
 
 def test_add_carry_case():
-    assert fx_add(fp(999, 3), fp(1, 3)) == fp(1000, 3)  # 0.999 + 0.001 = 1.000
+    # 0.999 + 0.001 = 1.000
+    assert fx_add(FixedPoint(999, 3), FixedPoint(1, 3)) == FixedPoint(1000, 3)
 
 
 def test_add_signed_cancellation():
-    assert fx_add(fp(500, 3), fp(-500, 3)) == fp(0, 3)
-    assert fx_add(fp(-750, 3), fp(250, 3)) == fp(-500, 3)
+    assert fx_add(FixedPoint(500, 3), FixedPoint(-500, 3)) == FixedPoint(0, 3)
+    assert fx_add(FixedPoint(-750, 3), FixedPoint(250, 3)) == FixedPoint(-500, 3)
 
 
 def test_add_scale_mismatch_rejected():
     with pytest.raises(ScaleMismatchError):
-        fx_add(fp(1, 3), fp(1, 4))
+        fx_add(FixedPoint(1, 3), FixedPoint(1, 4))
 
 
 # --- fx_mul_small -------------------------------------------------------------
 
 
 def test_mul_small_exact_scaling():
-    assert fx_mul_small(fp(785398, 6), 4) == fp(3141592, 6)
+    assert fx_mul_small(FixedPoint(785398, 6), 4) == FixedPoint(3141592, 6)
 
 
 def test_mul_small_identity():
-    x = fp(321750, 6)
+    x = FixedPoint(321750, 6)
     assert fx_mul_small(x, 1) == x
 
 
 def test_mul_small_by_eight_matches_rational_oracle():
-    result = fx_mul_small(fp(321750, 6), 8)
+    result = fx_mul_small(FixedPoint(321750, 6), 8)
     assert oracles.exact_value(result) == Fraction(321750, 10**6) * 8
-    assert result == fp(2574000, 6)
+    assert result == FixedPoint(2574000, 6)
 
 
 def test_mul_small_sign_handling():
-    assert fx_mul_small(fp(250, 3), -2) == fp(-500, 3)
-    assert fx_mul_small(fp(-250, 3), -2) == fp(500, 3)
-    assert fx_mul_small(fp(250, 3), 0) == fp(0, 3)
+    assert fx_mul_small(FixedPoint(250, 3), -2) == FixedPoint(-500, 3)
+    assert fx_mul_small(FixedPoint(-250, 3), -2) == FixedPoint(500, 3)
+    assert fx_mul_small(FixedPoint(250, 3), 0) == FixedPoint(0, 3)
 
 
 # --- fx_div_small -------------------------------------------------------------
 
 
 def test_div_truncates_toward_zero():
-    assert fx_div_small(fp(10**6, 6), 3) == fp(333333, 6)
+    assert fx_div_small(FixedPoint(10**6, 6), 3) == FixedPoint(333333, 6)
 
 
 def test_div_by_one_is_the_operand():
-    assert fx_div_small(fp(10**6, 6), 1) == fp(10**6, 6)
+    assert fx_div_small(FixedPoint(10**6, 6), 1) == FixedPoint(10**6, 6)
 
 
 def test_div_quarter_by_64():
     # 0.25/64 = 0.00390625, truncated at scale 6
-    assert fx_div_small(fp(250000, 6), 64) == fp(3906, 6)
+    assert fx_div_small(FixedPoint(250000, 6), 64) == FixedPoint(3906, 6)
 
 
 def test_div_errors():
     with pytest.raises(ZeroDivisionError):
-        fx_div_small(fp(1, 3), 0)
+        fx_div_small(FixedPoint(1, 3), 0)
     with pytest.raises(ValueError):
-        fx_div_small(fp(1, 3), -2)
+        fx_div_small(FixedPoint(1, 3), -2)
 
 
 def test_div_error_strictly_below_one_ulp():
     rng = random.Random(7)
     ulp = Fraction(1, 10**9)
     for _ in range(300):
-        a = fp(rng.randrange(-(10**12), 10**12), 9)
+        a = FixedPoint(rng.randrange(-(10**12), 10**12), 9)
         m = rng.randrange(1, 1000)
         stored = fx_div_small(a, m)
         assert abs(oracles.exact_value(stored) - oracles.exact_value(a) / m) < ulp
@@ -185,9 +177,11 @@ def test_div_error_strictly_below_one_ulp():
 
 MAGNITUDES = st.integers(min_value=0, max_value=10**3000)
 SIGNS = st.sampled_from((-1, 1))
-# every power of two up to 2**64 (the shift path) and random non-powers
+# every power of two up to 2**64 (the shift path), its neighbours and
+# random non-powers
 DIVISORS = st.one_of(
     st.integers(min_value=0, max_value=64).map(lambda s: 1 << s),
+    st.builds(lambda s, offset: (1 << s) + offset, st.integers(2, 64), st.sampled_from((-1, 1))),
     st.integers(min_value=3, max_value=2**64).filter(lambda m: m & (m - 1)),
 )
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -196,10 +190,13 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 @PROPERTY_SETTINGS
 @given(magnitude=MAGNITUDES, sign=SIGNS, m=DIVISORS)
 def test_div_small_is_floor_division_with_one_ulp(magnitude, sign, m):
-    result = fx_div_small(fp(sign * magnitude, 7), m)
-    assert result.magnitude == magnitude // m
-    assert result.signed_units == sign * (magnitude // m)
-    assert result.scale == 7
+    a = FixedPoint(sign * magnitude, 7)
+    result = fx_div_small(a, m)
+    assert result == (sign * magnitude // m, 7)
+    # a floor, negative dividends included: at or below the exact quotient,
+    # by less than one ulp
+    loss = oracles.exact_value(a) / m - oracles.exact_value(result)
+    assert 0 <= loss < Fraction(1, 10**7)
 
 
 @PROPERTY_SETTINGS
@@ -214,15 +211,8 @@ def test_div_small_by_huge_powers_of_two_and_neighbours(s, offset, sign, rng):
     m = (1 << s) + offset
     assume(m >= 1)
     magnitude = rng.getrandbits(s + rng.randrange(0, 200))
-    result = fx_div_small(fp(sign * magnitude, 7), m)
-    assert result.signed_units == sign * (magnitude // m)
-
-
-@PROPERTY_SETTINGS
-@given(magnitude=MAGNITUDES, sign=SIGNS)
-def test_signed_units_is_sign_times_magnitude(magnitude, sign):
-    value = fp(sign * magnitude, 3)
-    assert value.signed_units == value.sign * value.magnitude == sign * magnitude
+    result = fx_div_small(FixedPoint(sign * magnitude, 7), m)
+    assert result.signed_units == sign * magnitude // m
 
 
 @PROPERTY_SETTINGS
@@ -230,8 +220,8 @@ def test_signed_units_is_sign_times_magnitude(magnitude, sign):
     magnitude=MAGNITUDES, sign=SIGNS, m=st.sampled_from((-3, -1, 0, 1, 2, 16))
 )
 def test_mul_small_is_exact_product(magnitude, sign, m):
-    a = fp(sign * magnitude, 5)
-    assert fx_mul_small(a, m) == fp(a.signed_units * m, 5)
+    a = FixedPoint(sign * magnitude, 5)
+    assert fx_mul_small(a, m) == FixedPoint(a.signed_units * m, 5)
 
 
 # --- results satisfy the public constructor's invariants ------------------------
@@ -240,11 +230,9 @@ def test_mul_small_is_exact_product(magnitude, sign, m):
 def assert_valid(value: FixedPoint, scale: int) -> None:
     """``value`` satisfies every check the public constructor makes."""
     assert type(value) is FixedPoint
-    assert value.sign in (-1, 0, 1)
-    assert value.magnitude >= 0
-    assert (value.magnitude == 0) == (value.sign == 0)
+    assert type(value.signed_units) is int
     assert value.scale == scale
-    assert FixedPoint(value.sign, value.magnitude, value.scale) == value
+    assert FixedPoint(*value) == value
 
 
 UNITS = st.one_of(st.just(0), st.integers(min_value=-(10**3000), max_value=10**3000))
@@ -256,7 +244,7 @@ def test_add_results_satisfy_invariants(a, b, cancel):
     if cancel:
         b = -a  # mixed signs that cancel exactly
     for x, y in ((a, b), (b, a), (a, 0), (0, a)):
-        result = fx_add(fp(x, 9), fp(y, 9))
+        result = fx_add(FixedPoint(x, 9), FixedPoint(y, 9))
         assert_valid(result, 9)
         assert result.signed_units == x + y
 
@@ -264,7 +252,7 @@ def test_add_results_satisfy_invariants(a, b, cancel):
 @PROPERTY_SETTINGS
 @given(a=UNITS, m=st.one_of(st.sampled_from((-2, -1, 0, 1, 2)), st.integers(-(2**64), 2**64)))
 def test_mul_small_results_satisfy_invariants(a, m):
-    result = fx_mul_small(fp(a, 9), m)
+    result = fx_mul_small(FixedPoint(a, 9), m)
     assert_valid(result, 9)
     assert result.signed_units == a * m
 
@@ -272,10 +260,10 @@ def test_mul_small_results_satisfy_invariants(a, m):
 @PROPERTY_SETTINGS
 @given(a=UNITS, m=st.one_of(DIVISORS, st.integers(min_value=1, max_value=10**3001)))
 def test_div_small_results_satisfy_invariants(a, m):
-    # divisors above the magnitude truncate to zero, which must be canonical
-    result = fx_div_small(fp(a, 9), m)
+    # divisors above |a| floor to 0 or -1
+    result = fx_div_small(FixedPoint(a, 9), m)
     assert_valid(result, 9)
-    assert result.magnitude == abs(a) // m
+    assert result.signed_units == a // m
 
 
 # --- ledger -------------------------------------------------------------------
@@ -295,11 +283,11 @@ def test_exact_ops_stay_exact():
     rng = random.Random(42)
     for _ in range(50):
         scale = rng.randrange(1, 25)
-        value = fp(rng.randrange(-(10**6), 10**6), scale)
+        value = FixedPoint(rng.randrange(-(10**6), 10**6), scale)
         shadow = oracles.exact_value(value)
         for _ in range(40):
             if rng.random() < 0.5:
-                other = fp(rng.randrange(-(10**6), 10**6), scale)
+                other = FixedPoint(rng.randrange(-(10**6), 10**6), scale)
                 value = fx_add(value, other)
                 shadow += oracles.exact_value(other)
             else:
@@ -313,13 +301,13 @@ def _random_walk(seed: int, ops: int, scale: int, check_every: int):
     """Mixed-op walk with an exact Fraction shadow; asserts the ledger bound."""
     rng = random.Random(seed)
     ulp = Fraction(1, 10**scale)
-    value = fp(rng.randrange(1, 10**scale), scale)
+    value = FixedPoint(rng.randrange(1, 10**scale), scale)
     shadow = oracles.exact_value(value)
     ledger = ErrorLedger()
     for step in range(ops):
         kind = rng.random()
         if kind < 0.3:
-            other = fp(rng.randrange(-(10**scale), 10**scale), scale)
+            other = FixedPoint(rng.randrange(-(10**scale), 10**scale), scale)
             value = fx_add(value, other)
             shadow += oracles.exact_value(other)
         elif kind < 0.5:
@@ -368,18 +356,17 @@ PI_30 = "3.141592653589793238462643383279"
 
 
 def test_decimal_string_certified_pi_prefix():
-    magnitude = int(PI_30.replace(".", ""))  # pi at scale 30
-    value = FixedPoint(1, magnitude, 30)
+    value = FixedPoint(int(PI_30.replace(".", "")), 30)  # pi at scale 30
     assert fx_to_decimal_string(value, ErrorLedger(40), 20) == "3.14159265358979323846"
 
 
 def test_decimal_string_exact_half():
-    value = fp(5000, 4)  # 0.5 at scale 4
+    value = FixedPoint(5000, 4)  # 0.5 at scale 4
     assert fx_to_decimal_string(value, ErrorLedger(0), 3) == "0.500"
 
 
 def test_decimal_string_insufficient_precision():
-    value = fp(5 * 10**49, 50)
+    value = FixedPoint(5 * 10**49, 50)
     with pytest.raises(InsufficientPrecisionError) as info:
         fx_to_decimal_string(value, ErrorLedger(0), 200)
     assert info.value.guaranteed == 49
@@ -389,26 +376,26 @@ def test_decimal_string_insufficient_precision():
 def test_decimal_string_past_int_str_cap_leaves_cap_alone(int_str_cap):
     # 5000 digits is past CPython's default 4300-digit int/str limit, where
     # one exists; rendering must neither fail nor raise the process-wide cap
-    value = fp(10**5010 // 7, 5010)
+    value = FixedPoint(10**5010 // 7, 5010)
     text = fx_to_decimal_string(value, ErrorLedger(1), 5000)
     assert text == "0." + ("142857" * 834)[:5000]
     assert int_str_cap() in (None, 4300)
 
 
 def test_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
-    assert repr(fp(-250, 3)) == "FixedPoint(sign=-1, magnitude=250, scale=3)"
-    text = repr(fp(10**5010 // 7, 5010))
-    assert text == f"FixedPoint(sign=1, magnitude={'142857' * 835}, scale=5010)"
+    assert repr(FixedPoint(-250, 3)) == "FixedPoint(signed_units=-250, scale=3)"
+    text = repr(FixedPoint(10**5010 // 7, 5010))
+    assert text == f"FixedPoint(signed_units={'142857' * 835}, scale=5010)"
     assert int_str_cap() in (None, 4300)
 
 
 def test_decimal_string_negative_value():
-    assert fx_to_decimal_string(fp(-2500, 4), ErrorLedger(0), 3) == "-0.250"
+    assert fx_to_decimal_string(FixedPoint(-2500, 4), ErrorLedger(0), 3) == "-0.250"
 
 
 def test_decimal_string_straddle_detected():
     # 0.49999999 +- 2 ulps spans the 0.5 boundary for any short prefix
-    value = fp(49_999_999, 8)
+    value = FixedPoint(49_999_999, 8)
     with pytest.raises(BoundaryStraddleError):
         fx_to_decimal_string(value, ErrorLedger(2), 3)
     # with zero error the truncation is honest
@@ -417,7 +404,7 @@ def test_decimal_string_straddle_detected():
 
 def test_decimal_string_straddle_at_zero():
     with pytest.raises(BoundaryStraddleError):
-        fx_to_decimal_string(fp(1, 8), ErrorLedger(5), 2)
+        fx_to_decimal_string(FixedPoint(1, 8), ErrorLedger(5), 2)
 
 
 def test_decimal_string_reads_the_whole_ledger_at_a_digit_boundary():
@@ -425,16 +412,16 @@ def test_decimal_string_reads_the_whole_ledger_at_a_digit_boundary():
     # - 2 ulps falls below it and straddles.  A renderer that read half the
     # ledger would render both
     ledger = ErrorLedger(2)
-    assert fx_to_decimal_string(FixedPoint(1, 50_000_002, 8), ledger, 3) == "0.500"
+    assert fx_to_decimal_string(FixedPoint(50_000_002, 8), ledger, 3) == "0.500"
     with pytest.raises(BoundaryStraddleError):
-        fx_to_decimal_string(FixedPoint(1, 50_000_001, 8), ledger, 3)
+        fx_to_decimal_string(FixedPoint(50_000_001, 8), ledger, 3)
 
 
 @pytest.mark.parametrize("sign,rendered", ((1, "0.000"), (-1, "-0.000")))
 def test_decimal_string_interval_touching_zero_renders(sign, rendered):
     # 2 ulps +- 2 ulps reaches zero from one side only: certifiable, not a
     # straddle of zero
-    assert fx_to_decimal_string(FixedPoint(sign, 2, 8), ErrorLedger(2), 3) == rendered
+    assert fx_to_decimal_string(FixedPoint(sign * 2, 8), ErrorLedger(2), 3) == rendered
 
 
 def test_guaranteed_digit_count_formula():
@@ -452,7 +439,7 @@ def test_emitted_digits_never_contradict_true_value():
         scale = rng.randrange(6, 30)
         units = rng.randrange(1, 10**scale * 5)
         ulps = rng.randrange(0, 10 ** rng.randrange(0, scale // 2))
-        value = fp(units, scale)
+        value = FixedPoint(units, scale)
         ledger = ErrorLedger(ulps)
         want = rng.randrange(0, guaranteed_digit_count(scale, ulps) + 1)
         try:

@@ -273,7 +273,7 @@ def test_result_repr_past_int_str_cap_leaves_cap_alone(int_str_cap):
     method = PiFormulaId.MACHIN_ORACLE
     result = compute_pi(method, context_for_formula(method, 5000))
     text = repr(result)
-    assert text.startswith("EvalResult(value=FixedPoint(sign=1, magnitude=314159265358979")
+    assert text.startswith("EvalResult(value=FixedPoint(signed_units=314159265358979")
     assert f"terms_used={result.terms_used}" in text
     assert int_str_cap() in (None, 4300)
 
@@ -288,7 +288,7 @@ def test_library_calls_leave_interpreter_state_alone(int_str_cap):
     sun(CaseId.X_HALF, context_for_case(CaseId.X_HALF, 5000))
     assert cross_formula_agreement(context_for_verify(5000))[0].passed
     assert digits_of(result, 5000).startswith("3.14159265358979")
-    assert repr(result).startswith("EvalResult(value=FixedPoint(sign=1, magnitude=314159")
+    assert repr(result).startswith("EvalResult(value=FixedPoint(signed_units=314159")
     assert int_str_cap() in (None, 4300)
     context = decimal.getcontext()
     assert (context.prec, context.rounding, dict(context.traps)) == before
@@ -341,9 +341,8 @@ def test_agreement_and_identity_pass_exactly_at_their_bounds(excess, passed, mon
     case1 = results[PiFormulaId.CASE1]
 
     def agreement_with(moved, offset):
-        # route ``moved`` stores case1's value plus ``offset`` ulps; pi is
-        # positive, and a positive offset keeps it so
-        value = FixedPoint(1, case1.value.magnitude + offset, ctx.scale)
+        # route ``moved`` stores case1's value plus ``offset`` ulps
+        value = FixedPoint(case1.value.signed_units + offset, ctx.scale)
         routes = {**results, moved: results[moved]._replace(value=value)}
         monkeypatch.setattr(formulas, "compute_pi", lambda formula_id, _: routes[formula_id])
         return cross_formula_agreement(ctx)
@@ -572,7 +571,7 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions, monkeypa
         compute_pi(route, ctx)
         assert sum(1 for _, m in divisions if m & (m - 1)) == long_divisions, route
         whole = 10**ctx.scale
-        shifts = sum(1 for a, m in divisions if not m & (m - 1) and a.magnitude % whole == 0)
+        shifts = sum(1 for a, m in divisions if not m & (m - 1) and a.signed_units % whole == 0)
         assert shifts == numerator_shifts, route
     # Machin's two series are summed in blocks, with no division per term:
     # one floor for each of the three blocks its 102 terms are cut into, at
@@ -593,6 +592,24 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions, monkeypa
     assert result.terms_used == 102
     assert divisions == []
     assert blocks == [(0, 49), (49, 79), (0, 23)]
+
+
+@pytest.mark.parametrize("digits", (100, 2000))
+def test_shared_pass_negates_no_single_term(monkeypatch, digits):
+    # one multiply per series by its weight, and one negation of each shared
+    # series' odd-indexed sum: never one per term
+    multipliers = []
+    real = series.fx_mul_small
+
+    def recording(a, m):
+        multipliers.append(m)
+        return real(a, m)
+
+    monkeypatch.setattr(series, "fx_mul_small", recording)
+    for route in PiFormulaId:
+        multipliers.clear()
+        result = compute_pi(route, context_for_formula(route, digits))
+        assert len(multipliers) <= 2 * len(result.component_terms), route
 
 
 @pytest.mark.parametrize("digits", (100, 3000))
