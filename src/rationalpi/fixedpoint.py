@@ -1,27 +1,23 @@
-"""Exact decimal fixed-point arithmetic with worst-case error accounting.
+"""Decimal fixed-point values with worst-case error accounting.
 
 A value is ``signed_units * 10**(-scale)`` where the units are an
 arbitrary-size signed integer and the scale counts decimal fractional
-digits.  Addition and multiplication by a small integer are exact.  Division
-by a small positive integer floors, so it loses less than one unit in the
-last place (ulp).  The layer counts no error itself: the
+digits.  Exact sums and small multiples are plain ``int`` arithmetic on the
+units.  The one operation here, :func:`fx_div_small`, divides by a small
+positive integer and floors, so it loses less than one unit in the last
+place (ulp).  The layer counts no error itself: the
 evaluator's certificate in :mod:`rationalpi.series` bounds
 ``|stored - true|``, and :func:`fx_to_decimal_string` takes that bound as an
 :class:`ErrorLedger` to certify every digit it emits.
 
 All operands of one computation share a single scale, fixed up front by a
-:class:`PrecisionContext`.  Mixing scales raises instead of rescaling, so
-there is no hidden rounding anywhere in the layer.
+:class:`PrecisionContext`.
 
 The records are named tuples whose constructor, which ``_replace``, copy
 and pickle all go through, holds each field to one rule, as the functions
 hold the integers their callers pass: exactly an ``int``, else
 :class:`TypeError`, and at least its bound if it has one, else
-:class:`ValueError`.  Only
-:func:`_fixed` skips the checks, for ``fx_add``, ``fx_mul_small`` and
-``fx_div_small``: they run once or twice per series term, so the last two
-reach the rule behind one ``type(m) is not int`` test, and their arithmetic
-on valid operands proves the invariants.
+:class:`ValueError`.
 """
 
 from collections import namedtuple
@@ -31,19 +27,12 @@ __all__ = [
     "FixedPoint",
     "ErrorLedger",
     "PrecisionContext",
-    "ScaleMismatchError",
     "InsufficientPrecisionError",
     "BoundaryStraddleError",
-    "fx_add",
-    "fx_mul_small",
     "fx_div_small",
     "fx_to_decimal_string",
     "guaranteed_digit_count",
 ]
-
-
-class ScaleMismatchError(ValueError):
-    """Operands of a single operation carry different scales."""
 
 
 class InsufficientPrecisionError(ValueError):
@@ -96,9 +85,9 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "signed_units scale")):
 
     Every way of building one except :func:`_fixed` runs the constructor,
     which checks that both fields are ``int`` and the scale is not negative.
-    :func:`_fixed` is what the ``fx_*`` operations build their results with:
-    it skips the checks, because each caller's arithmetic already keeps them
-    from valid operands.  Fields are read-only, and a value equals and
+    :func:`fx_div_small` builds its results with :func:`_fixed`, which skips
+    the checks: it runs once or twice per series term, and a floor of a
+    valid operand keeps them.  Fields are read-only, and a value equals and
     hashes as its field tuple ``(signed_units, scale)``.
     """
 
@@ -107,7 +96,7 @@ class FixedPoint(_Checked, namedtuple("FixedPoint", "signed_units scale")):
 
     # a value is a number, not a sequence: tuple concatenation, repetition
     # and lexicographic order would answer silently and wrongly, so these
-    # raise TypeError instead; arithmetic goes through the fx_* functions
+    # raise TypeError instead; arithmetic acts on signed_units
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __repr__(self):
@@ -165,25 +154,6 @@ def guaranteed_digit_count(scale: int, ulps: int) -> int:
     uncertainty never reaches the last certified place.
     """
     return max(0, scale - _ceil_log10(ulps + 1) - 1)
-
-
-def fx_add(a: FixedPoint, b: FixedPoint) -> FixedPoint:
-    """Exact sum; integer addition contributes no error."""
-    scale = a.scale
-    if b.scale != scale:
-        raise ScaleMismatchError(f"scales differ: {scale} vs {b.scale}")
-    return _fixed(a.signed_units + b.signed_units, scale)
-
-
-def fx_mul_small(a: FixedPoint, m: int) -> FixedPoint:
-    """Exact product with a small integer; contributes no new error.
-
-    Any error already accumulated against ``a`` scales by ``|m|``; callers
-    tracking an error bound across the multiply must scale it themselves.
-    """
-    if type(m) is not int:
-        _check_int("m", m)
-    return _fixed(a.signed_units * m, a.scale)
 
 
 def fx_div_small(a: FixedPoint, m: int) -> FixedPoint:

@@ -25,9 +25,9 @@ its denominator ``d`` with a term of smaller exponent ``e0`` is that term
 shifted right by ``e - e0`` bits, and such series are summed together in
 one pass over their denominators from largest to smallest: each distinct
 ``d`` costs one long division, and every other term with it one shift of
-that base.  Each series adds its even-indexed and its odd-indexed terms
-into two sums and subtracts the second from the first once, so no term is
-negated on its own.  CPython divides by a divisor below
+that base.  Each series adds its even-indexed and its odd-indexed terms'
+units into two ``int`` sums and subtracts the second from the first once,
+so no term is negated on its own.  CPython divides by a divisor below
 ``2**sys.int_info.bits_per_digit`` (2^30 on 64-bit builds) in one linear
 pass, and by a wider one with schoolbook long division at about twice the
 cost; a shift or an add costs a fifth of either.  So the base divides one
@@ -75,9 +75,7 @@ from .fixedpoint import (
     PrecisionContext,
     _Checked,
     _check_int,
-    fx_add,
     fx_div_small,
-    fx_mul_small,
     guaranteed_digit_count,
 )
 
@@ -231,7 +229,8 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     the lower end by one for even ``N``, which alone needs the ``+ 1``.  A
     series of ``M`` blocks is off by less than ``M + 1`` ulps, and every
     block but the last holds at least two terms, so ``M <= ceil(N/2)``.
-    Integer weights are exact.
+    Each series' partial sum is kept as ``int`` units at the working scale,
+    so weighting and adding them with integer weights is exact.
 
     That certificate depends only on the planned ``N_i``, so it is known
     before any term is summed: :class:`InsufficientPrecisionError` is raised
@@ -245,7 +244,7 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     if guaranteed < ctx.target_digits:
         raise InsufficientPrecisionError(ctx.target_digits, guaranteed)
 
-    sums = [FixedPoint(0, scale)] * len(stack)
+    sums = [0] * len(stack)
     shared = []
     for i, ((_, spec), n) in enumerate(zip(stack, planned)):
         # a product of positive integers is a power of two exactly when both factors are
@@ -255,11 +254,9 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
             sums[i] = _block_sum(spec, n, scale)
     _shared_pass(shared, sums, scale)
 
-    total = FixedPoint(0, scale)
-    for (weight, _), partial in zip(stack, sums):
-        total = fx_add(total, fx_mul_small(partial, weight))
+    total = sum(weight * units for (weight, _), units in zip(stack, sums))
     return EvalResult(
-        value=total,
+        value=FixedPoint(total, scale),
         terms_used=sum(planned),
         error_ulps=error_ulps,
         guaranteed_digits=guaranteed,
@@ -267,17 +264,18 @@ def eval_series(specs: Iterable[tuple[int, SeriesSpec]], ctx: PrecisionContext) 
     )
 
 
-def _block_sum(spec: SeriesSpec, n: int, scale: int) -> FixedPoint:
-    """The first ``n`` terms, one floor per block of :func:`_cuts`: block
-    ``[lo, hi)`` stores ``floor(pn * T * 10^s / (pd * B * q_den^(hi-1)))``
-    with the sign of ``(-1)^lo``, for ``(T, B)`` from :func:`_split`."""
+def _block_sum(spec: SeriesSpec, n: int, scale: int) -> int:
+    """Units of the first ``n`` terms, one floor per block of :func:`_cuts`:
+    block ``[lo, hi)`` stores
+    ``floor(pn * T * 10^s / (pd * B * q_den^(hi-1)))`` with the sign of
+    ``(-1)^lo``, for ``(T, B)`` from :func:`_split`."""
     numerator = spec.prefactor_num * 10**scale
     units = 0
     for lo, hi in _cuts(spec, n, 3 * numerator.bit_length() // 4):
         t, b = _split(spec, lo, hi)
         block = numerator * t // (spec.prefactor_den * b * spec.q_den ** (hi - 1))
         units += -block if lo & 1 else block
-    return FixedPoint(units, scale)
+    return units
 
 
 def _cuts(spec: SeriesSpec, n: int, target: int) -> Iterator[tuple[int, int]]:
@@ -328,13 +326,14 @@ def _by_falling_denominator(i: int, spec: SeriesSpec, n: int) -> Iterator[tuple[
 
 
 def _shared_pass(
-    shared: list[tuple[int, SeriesSpec, int]], sums: list[FixedPoint], scale: int
+    shared: list[tuple[int, SeriesSpec, int]], sums: list[int], scale: int
 ) -> None:
-    """Set ``sums[i]`` to the planned partial sum of each series
+    """Set ``sums[i]`` to the units of the planned partial sum of each series
     ``(i, spec, n)`` with ``pn = 1`` and power-of-two ``pd`` and ``q_den``,
     adding terms largest denominator first, with one long division per
-    distinct denominator.  Even-indexed and odd-indexed terms go into two
-    sums per series, and the odd sum is subtracted once at the end.
+    distinct denominator.  The units of even-indexed and odd-indexed terms go
+    into two ``int`` sums per series, and the odd sum is subtracted once at
+    the end.
 
     The numerator ``10^scale`` keeps one shifted copy ``X = 10^scale >> ex``.
     A group with denominator ``d`` and smallest exponent ``e0`` takes its
@@ -347,8 +346,7 @@ def _shared_pass(
     bits = _DIGIT_BITS
     limit = 1 << bits
     numerator = FixedPoint(10**scale, scale)
-    zero = FixedPoint(0, scale)
-    halves = {i: [zero, zero] for i, _, _ in shared}
+    halves = {i: [0, 0] for i, _, _ in shared}
     ex = math.inf  # so the first group shifts
     group = None
     for neg_d, e, i, k in heapq.merge(*(_by_falling_denominator(*s) for s in shared)):
@@ -360,10 +358,9 @@ def _shared_pass(
                 x = fx_div_small(numerator, 1 << ex)
             base = fx_div_small(x, d << (e0 - ex))
         term = base if e == e0 else fx_div_small(base, 1 << (e - e0))
-        half = halves[i]
-        half[k & 1] = fx_add(half[k & 1], term)
+        halves[i][k & 1] += term.signed_units
     for i, (even, odd) in halves.items():
-        sums[i] = fx_add(even, fx_mul_small(odd, -1))
+        sums[i] = even - odd
 
 
 def consecutive_term_ratio(spec: SeriesSpec, k: int) -> Fraction:

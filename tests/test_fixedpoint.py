@@ -12,10 +12,7 @@ from rationalpi.fixedpoint import (
     FixedPoint,
     InsufficientPrecisionError,
     PrecisionContext,
-    ScaleMismatchError,
-    fx_add,
     fx_div_small,
-    fx_mul_small,
     fx_to_decimal_string,
     guaranteed_digit_count,
 )
@@ -56,7 +53,7 @@ def test_fields_are_read_only(field):
 def test_equality_and_hash_follow_the_fields():
     assert FixedPoint(5, 4) == FixedPoint(5, 4)
     assert hash(FixedPoint(5, 4)) == hash(FixedPoint(5, 4))
-    assert hash(fx_add(FixedPoint(2, 4), FixedPoint(3, 4))) == hash(FixedPoint(5, 4))
+    assert hash(fx_div_small(FixedPoint(10, 4), 2)) == hash(FixedPoint(5, 4))
     assert len({FixedPoint(5, 4), FixedPoint(5, 4), FixedPoint(-5, 4)}) == 2
     assert FixedPoint(5, 4) != FixedPoint(-5, 4)
     assert FixedPoint(5, 4) != FixedPoint(5, 5)
@@ -86,58 +83,6 @@ def test_copies_and_pickles_are_equal(duplicate):
         assert twin == value and type(twin) is FixedPoint
         with pytest.raises(AttributeError):
             twin.signed_units = 0
-
-
-# --- fx_add -------------------------------------------------------------------
-
-
-def test_add_exact_decimals():
-    # 0.250 + 0.125 = 0.375
-    assert fx_add(FixedPoint(250, 3), FixedPoint(125, 3)) == FixedPoint(375, 3)
-
-
-def test_add_identity():
-    x = FixedPoint(123456, 6)
-    assert fx_add(x, FixedPoint(0, 6)) == x
-
-
-def test_add_carry_case():
-    # 0.999 + 0.001 = 1.000
-    assert fx_add(FixedPoint(999, 3), FixedPoint(1, 3)) == FixedPoint(1000, 3)
-
-
-def test_add_signed_cancellation():
-    assert fx_add(FixedPoint(500, 3), FixedPoint(-500, 3)) == FixedPoint(0, 3)
-    assert fx_add(FixedPoint(-750, 3), FixedPoint(250, 3)) == FixedPoint(-500, 3)
-
-
-def test_add_scale_mismatch_rejected():
-    with pytest.raises(ScaleMismatchError):
-        fx_add(FixedPoint(1, 3), FixedPoint(1, 4))
-
-
-# --- fx_mul_small -------------------------------------------------------------
-
-
-def test_mul_small_exact_scaling():
-    assert fx_mul_small(FixedPoint(785398, 6), 4) == FixedPoint(3141592, 6)
-
-
-def test_mul_small_identity():
-    x = FixedPoint(321750, 6)
-    assert fx_mul_small(x, 1) == x
-
-
-def test_mul_small_by_eight_matches_rational_oracle():
-    result = fx_mul_small(FixedPoint(321750, 6), 8)
-    assert oracles.exact_value(result) == Fraction(321750, 10**6) * 8
-    assert result == FixedPoint(2574000, 6)
-
-
-def test_mul_small_sign_handling():
-    assert fx_mul_small(FixedPoint(250, 3), -2) == FixedPoint(-500, 3)
-    assert fx_mul_small(FixedPoint(-250, 3), -2) == FixedPoint(500, 3)
-    assert fx_mul_small(FixedPoint(250, 3), 0) == FixedPoint(0, 3)
 
 
 # --- fx_div_small -------------------------------------------------------------
@@ -215,15 +160,6 @@ def test_div_small_by_huge_powers_of_two_and_neighbours(s, offset, sign, rng):
     assert result.signed_units == sign * magnitude // m
 
 
-@PROPERTY_SETTINGS
-@given(
-    magnitude=MAGNITUDES, sign=SIGNS, m=st.sampled_from((-3, -1, 0, 1, 2, 16))
-)
-def test_mul_small_is_exact_product(magnitude, sign, m):
-    a = FixedPoint(sign * magnitude, 5)
-    assert fx_mul_small(a, m) == FixedPoint(a.signed_units * m, 5)
-
-
 # --- results satisfy the public constructor's invariants ------------------------
 
 
@@ -236,25 +172,6 @@ def assert_valid(value: FixedPoint, scale: int) -> None:
 
 
 UNITS = st.one_of(st.just(0), st.integers(min_value=-(10**3000), max_value=10**3000))
-
-
-@PROPERTY_SETTINGS
-@given(a=UNITS, b=UNITS, cancel=st.booleans())
-def test_add_results_satisfy_invariants(a, b, cancel):
-    if cancel:
-        b = -a  # mixed signs that cancel exactly
-    for x, y in ((a, b), (b, a), (a, 0), (0, a)):
-        result = fx_add(FixedPoint(x, 9), FixedPoint(y, 9))
-        assert_valid(result, 9)
-        assert result.signed_units == x + y
-
-
-@PROPERTY_SETTINGS
-@given(a=UNITS, m=st.one_of(st.sampled_from((-2, -1, 0, 1, 2)), st.integers(-(2**64), 2**64)))
-def test_mul_small_results_satisfy_invariants(a, m):
-    result = fx_mul_small(FixedPoint(a, 9), m)
-    assert_valid(result, 9)
-    assert result.signed_units == a * m
 
 
 @PROPERTY_SETTINGS
@@ -277,26 +194,6 @@ def test_ledger_monotone_contract():
 # --- composed properties ------------------------------------------------------
 
 
-def test_exact_ops_stay_exact():
-    # any mix of adds and small multiplies agrees exactly with rational
-    # arithmetic and never needs an error charge
-    rng = random.Random(42)
-    for _ in range(50):
-        scale = rng.randrange(1, 25)
-        value = FixedPoint(rng.randrange(-(10**6), 10**6), scale)
-        shadow = oracles.exact_value(value)
-        for _ in range(40):
-            if rng.random() < 0.5:
-                other = FixedPoint(rng.randrange(-(10**6), 10**6), scale)
-                value = fx_add(value, other)
-                shadow += oracles.exact_value(other)
-            else:
-                m = rng.randrange(-9, 10)
-                value = fx_mul_small(value, m)
-                shadow *= m
-        assert oracles.exact_value(value) == shadow
-
-
 def _random_walk(seed: int, ops: int, scale: int, check_every: int):
     """Mixed-op walk with an exact Fraction shadow; asserts the ledger bound."""
     rng = random.Random(seed)
@@ -308,11 +205,11 @@ def _random_walk(seed: int, ops: int, scale: int, check_every: int):
         kind = rng.random()
         if kind < 0.3:
             other = FixedPoint(rng.randrange(-(10**scale), 10**scale), scale)
-            value = fx_add(value, other)
+            value = FixedPoint(value.signed_units + other.signed_units, scale)
             shadow += oracles.exact_value(other)
         elif kind < 0.5:
             m = rng.choice((-3, -2, -1, 1, 2, 3))
-            value = fx_mul_small(value, m)
+            value = FixedPoint(value.signed_units * m, scale)
             shadow *= m
             # the exact multiply scales the error carried so far by |m|
             ledger = ErrorLedger(ledger.ulps * abs(m))

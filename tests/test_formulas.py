@@ -594,24 +594,6 @@ def test_shared_pass_makes_one_long_division_per_denominator(divisions, monkeypa
     assert blocks == [(0, 49), (49, 79), (0, 23)]
 
 
-@pytest.mark.parametrize("digits", (100, 2000))
-def test_shared_pass_negates_no_single_term(monkeypatch, digits):
-    # one multiply per series by its weight, and one negation of each shared
-    # series' odd-indexed sum: never one per term
-    multipliers = []
-    real = series.fx_mul_small
-
-    def recording(a, m):
-        multipliers.append(m)
-        return real(a, m)
-
-    monkeypatch.setattr(series, "fx_mul_small", recording)
-    for route in PiFormulaId:
-        multipliers.clear()
-        result = compute_pi(route, context_for_formula(route, digits))
-        assert len(multipliers) <= 2 * len(result.component_terms), route
-
-
 @pytest.mark.parametrize("digits", (100, 3000))
 def test_every_long_division_has_a_one_digit_divisor(divisions, digits):
     for route in PiFormulaId:
