@@ -153,6 +153,8 @@ def guaranteed_digit_count(scale: int, ulps: int) -> int:
     One digit is forfeited beyond the error's own decade so that the
     uncertainty never reaches the last certified place.
     """
+    _check_int("scale", scale, 0)
+    _check_int("ulps", ulps, 0)
     return max(0, scale - _ceil_log10(ulps + 1) - 1)
 
 

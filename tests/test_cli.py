@@ -16,6 +16,7 @@ from rationalpi import cli, formulas
 from rationalpi.cli import main
 from rationalpi.fixedpoint import FixedPoint
 from rationalpi.formulas import PiFormulaId
+from rationalpi.series import CaseId
 
 import oracles
 
@@ -233,15 +234,21 @@ def machin_off_by_one_unit(compute_pi):
 
 
 def test_bench_prints_times_only_when_routes_agree(monkeypatch, capsys):
-    code, out, err = run_cli(["bench", "--digits", "40"], capsys)
-    assert code == 0 and err == ""
-    rows = [line.split() for line in out.splitlines()[1:]]
-    assert [row[:2] for row in rows] == [["case1", "40"], ["combined", "40"], ["machin", "40"]]
-    # one request path: each row's terms are the series term counts that
-    # pi --json reports for the same route and digits, summed
-    for method, _, terms, _ in rows:
-        _, report, _ = run_cli(["pi", "--method", method, "--digits", "40", "--json"], capsys)
-        assert sum(json.loads(report)["terms_used"]) == int(terms)
+    # at 3000 digits Machin's arctan(1/5) is summed in four blocks
+    for digits in ("40", "3000"):
+        code, out, err = run_cli(["bench", "--digits", digits], capsys)
+        assert code == 0 and err == ""
+        header, *lines = out.splitlines()
+        assert header.split() == ["method", "digits", "terms", "ms"]
+        rows = [line.split() for line in lines]
+        assert [row[:2] for row in rows] == [["case1", digits], ["combined", digits],
+                                             ["machin", digits]]
+        # one request path: each row's terms are the series term counts that
+        # pi --json reports for the same route and digits, summed
+        for method, _, terms, _ in rows:
+            _, report, _ = run_cli(["pi", "--method", method, "--digits", digits, "--json"],
+                                   capsys)
+            assert sum(json.loads(report)["terms_used"]) == int(terms)
 
     monkeypatch.setattr(cli, "compute_pi", machin_off_by_one_unit(cli.compute_pi))
     code, out, err = run_cli(["bench", "--digits", "40"], capsys)
@@ -279,14 +286,24 @@ def test_verify_prints_pass_lines(capsys):
     assert out == VERIFY_50
 
 
-def test_machin_prints_each_prefix_of_pi_up_to_400_digits(capsys):
-    # every --digits from 1 to 400 through main, against a truncation of
-    # case1's 400 digits: a block sum that strays past its certificate, or a
-    # refusal, fails here
-    code, reference, _ = run_cli(["pi", "--method", "case1", "--digits", "400"], capsys)
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["pi", "--method", method.value] for method in PiFormulaId]
+    + [["arctan", "--case", case.value] for case in CaseId],
+    ids=lambda argv: argv[-1],
+)
+def test_each_route_and_case_prints_each_prefix_up_to_400_digits(argv, capsys):
+    # every --digits from 1 to 400 through main, against a truncation of the
+    # exact-rational oracle's 400 digits: each request certifies exactly 8
+    # digits past its target, so a refusal, or a block sum or a shared-pass
+    # term that strays past its certificate, fails here
+    if argv[0] == "pi":
+        bracket = oracles.pi_bracket(410)
+    else:
+        bracket = oracles.case_target_bracket(argv[-1], 410)
+    reference = oracles.truncated_digits(bracket, 400)
     for digits in range(1, 401):
-        code, out, _ = run_cli(["pi", "--method", "machin", "--digits", str(digits)], capsys)
+        code, out, _ = run_cli([*argv, "--digits", str(digits)], capsys)
         assert (code, out) == (0, reference[:digits + 2] + "\n"), digits
 
 
@@ -591,6 +608,19 @@ def test_compare_json_rows(capsys):
     assert payload["target_digits"] == 15
     assert [row["method"] for row in payload["rows"]][0] == "leibniz"
     assert payload["rows"][0]["terms_for_target"] is None
+
+
+def test_compare_at_the_digit_cap_counts_each_series_row_at_its_rate(capsys):
+    # every series row's count lies within 0.5% of its rate column times the
+    # digits, Machin's two series included
+    cap = cli.DEFAULT_MAX_DIGITS
+    code, out, _ = run_cli(["compare", "--digits", str(cap), "--format", "json"], capsys)
+    assert code == 0
+    rows = [row for row in json.loads(out)["rows"] if row["terms_per_digit"] is not None]
+    assert len(rows) == 5
+    for row in rows:
+        count = row["terms_for_target"]
+        assert abs(row["terms_per_digit"] * cap - count) <= 0.005 * count, row
 
 
 # the whole compare --digits 128 output of each format, bytes as printed:

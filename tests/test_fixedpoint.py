@@ -88,7 +88,7 @@ def test_copies_and_pickles_are_equal(duplicate):
 # --- fx_div_small -------------------------------------------------------------
 
 
-def test_div_truncates_toward_zero():
+def test_div_floors_a_positive_dividend():
     assert fx_div_small(FixedPoint(10**6, 6), 3) == FixedPoint(333333, 6)
 
 

@@ -207,25 +207,37 @@ def test_machin_like_formulas_render_the_digits_of_case1(name, digits):
     assert digits_of(sun(terms, ctx), digits) == digits_of(case1, digits)
 
 
-# SHA-256 of pi to 20000 digits as the CLI prints it, its newline included,
-# from perfbench/refdigits.py (Chudnovsky, independent of the package)
+# SHA-256 of each value to 20000 digits as the CLI prints it, its newline
+# included, from perfbench/refdigits.py, which shares no code with the
+# package: Chudnovsky for pi, Gregory for arctan(1), arctan(1/3) and
+# arctan(1/7), the values of the cases 1, 1/2 and 1/4
 PI_20000_SHA256 = "6ede26ecb55d6ae7e36d8f97c0fe4a9c9f9c82ba93c58b0b1b9e9670e367d910"
+ARCTAN_20000_SHA256 = {
+    CaseId.X1: "01be17ea7709d7d762518541cd9be148ad21333f01e5c0b8283f74a6d34eff6c",
+    CaseId.X_HALF: "89c319f9ff2a483852607df39bd7f27c467f150adc7f8e4626166fbd22ea5a39",
+    CaseId.X_QUARTER: "9b424840331574739de17b163bba386584e0cadf3d915698507e7cee5254abed",
+}
 
 
-@pytest.mark.parametrize("name", ["machin", *sorted(MACHIN_LIKE)])
-def test_block_summed_formulas_render_pi_at_20000_digits(name):
-    # at this size every block-summed series here is cut into two to four
-    # blocks, so a fault in the cuts, the merge or a block's floor shows in
-    # the printed digits
-    if name == "machin":
-        route = PiFormulaId.MACHIN_ORACLE
-        result = compute_pi(route, context_for_formula(route, 20000))
+@pytest.mark.parametrize("key", [*PiFormulaId, *CaseId, *sorted(MACHIN_LIKE)],
+                         ids=lambda key: getattr(key, "value", key))
+def test_each_route_and_case_renders_its_reference_at_20000_digits(key):
+    # agreement between the routes would pass a fault they share, so each
+    # route, case and Machin-like formula is checked against digits made
+    # without the package.  At this size every block-summed series here is
+    # cut into two to four blocks and the shared pass runs thousands of
+    # terms, so a fault in either shows in the printed digits
+    if isinstance(key, PiFormulaId):
+        result = compute_pi(key, context_for_formula(key, 20000))
+    elif isinstance(key, CaseId):
+        result = sun(key, context_for_case(key, 20000))
     else:
-        terms = MACHIN_LIKE[name]
+        terms = MACHIN_LIKE[key]
         result = sun(terms, context_for(
             [(coeff, arctan_recip_spec(arg.denominator)) for coeff, arg in terms], 20000))
     rendered = digits_of(result, 20000) + "\n"
-    assert hashlib.sha256(rendered.encode()).hexdigest() == PI_20000_SHA256
+    expected = ARCTAN_20000_SHA256.get(key, PI_20000_SHA256)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -14,6 +14,7 @@ from rationalpi.fixedpoint import (
     PrecisionContext,
     fx_div_small,
     fx_to_decimal_string,
+    guaranteed_digit_count,
 )
 from rationalpi.series import (
     CaseId,
@@ -171,11 +172,14 @@ SATURN_X1 = series_for_case(CaseId.X1, Component.SATURN)
         # a float divisor raised AttributeError, and True divided by 1
         (lambda: fx_div_small(FixedPoint(10**20 + 12345, 8), 2.5), "m"),
         (lambda: fx_div_small(FixedPoint(10**20 + 12345, 8), True), "m"),
+        # a float error of 2.0 certified 8 digits, and a True scale 0
+        (lambda: guaranteed_digit_count(10, 2.0), "ulps"),
+        (lambda: guaranteed_digit_count(True, 0), "scale"),
     ),
     ids=("eval_series", "terms_needed", "context_for", "context_for_weight",
          "compare_convergence", "FixedPoint", "ErrorLedger", "PrecisionContext",
          "consecutive_term_ratio", "fx_to_decimal_string", "fx_div_small_float",
-         "fx_div_small_bool"),
+         "fx_div_small_bool", "guaranteed_digit_count_float", "guaranteed_digit_count_bool"),
 )
 def test_a_non_int_argument_is_refused_by_name(call, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int, got "):
@@ -185,6 +189,14 @@ def test_a_non_int_argument_is_refused_by_name(call, name):
 def test_want_digits_below_zero_names_the_bound():
     with pytest.raises(ValueError, match="^want_digits must be at least 0, got -1$"):
         fx_to_decimal_string(FixedPoint(5, 4), ErrorLedger(0), -1)
+
+
+@pytest.mark.parametrize("scale,ulps,name", ((10, -5, "ulps"), (-1, 0, "scale")),
+                         ids=("ulps", "scale"))
+def test_a_negative_scale_or_error_names_the_bound(scale, ulps, name):
+    # an error of -5 ulps at scale 10 certified nine digits
+    with pytest.raises(ValueError, match=f"^{name} must be at least 0, got {min(scale, ulps)}$"):
+        guaranteed_digit_count(scale, ulps)
 
 
 @pytest.mark.parametrize(
