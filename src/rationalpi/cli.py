@@ -17,6 +17,7 @@ device or a closed stdout).
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -185,6 +186,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rationalpi",

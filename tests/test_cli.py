@@ -31,65 +31,6 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-# --- digit output ---------------------------------------------------------------
-
-
-def test_pi_thirty_digits(capsys):
-    code, out, _ = run_cli(["pi", "--digits", "30", "--method", "combined"], capsys)
-    assert code == 0
-    assert out == "3.141592653589793238462643383279\n"
-
-
-def test_pi_single_digit(capsys):
-    code, out, _ = run_cli(["pi", "--digits", "1", "--method", "case1"], capsys)
-    assert code == 0
-    assert out == "3.1\n"
-
-
-def test_pi_output_charset(capsys):
-    code, out, _ = run_cli(["pi", "--digits", "45"], capsys)
-    assert code == 0
-    assert re.fullmatch(r"[0-9]+\.[0-9]+\n", out)
-    assert out.count(".") == 1
-
-
-@pytest.mark.parametrize(
-    "case,expected",
-    (
-        ("1/2", "0.32175055439664219340"),
-        ("1/4", "0.14189705460416392281"),
-    ),
-)
-def test_arctan_twenty_digits(case, expected, capsys):
-    code, out, _ = run_cli(["arctan", "--case", case, "--digits", "20"], capsys)
-    assert code == 0
-    assert out == expected + "\n"
-
-
-def test_arctan_case_one(capsys):
-    code, out, _ = run_cli(["arctan", "--case", "1", "--digits", "10"], capsys)
-    assert code == 0
-    assert out == "0.7853981633\n"
-
-
-def test_pi_methods_agree_byte_for_byte(capsys):
-    outputs = set()
-    for method in ("case1", "combined", "machin"):
-        code, out, _ = run_cli(["pi", "--digits", "60", "--method", method], capsys)
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-
-
-def test_pi_emission_beyond_interpreter_str_cap(capsys):
-    # digit counts past CPython's default 4300-digit int/str conversion
-    # limit must still emit
-    code, out, _ = run_cli(["pi", "--digits", "5000", "--method", "combined"], capsys)
-    assert code == 0
-    assert len(out) == 5003  # "3." + 5000 digits + newline
-    assert out.startswith("3.14159265358979323846264338327950288419716939937510")
-
-
 # --- exit-code contract -----------------------------------------------------------
 
 
@@ -205,20 +146,6 @@ def test_closed_pipe_exits_three_silently_in_process(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_happy_paths_exit_zero(capsys):
-    for argv in (
-        ["pi", "--digits", "12"],
-        ["arctan", "--case", "1/2", "--digits", "12"],
-        ["verify", "--digits", "50"],
-        ["compare", "--digits", "10", "--format", "table"],
-        ["compare", "--digits", "10", "--format", "csv"],
-        ["compare", "--digits", "10", "--format", "json"],
-        ["bench", "--digits", "40"],
-    ):
-        code, _, _ = run_cli(argv, capsys)
-        assert code == 0, argv
-
-
 def machin_off_by_one_unit(compute_pi):
     """``compute_pi`` with machin off by one unit in the 30th digit: fast,
     certified-looking, wrong."""
@@ -303,8 +230,8 @@ def test_each_route_and_case_prints_each_prefix_up_to_400_digits(argv, capsys):
         bracket = oracles.case_target_bracket(argv[-1], 410)
     reference = oracles.truncated_digits(bracket, 400)
     for digits in range(1, 401):
-        code, out, _ = run_cli([*argv, "--digits", str(digits)], capsys)
-        assert (code, out) == (0, reference[:digits + 2] + "\n"), digits
+        code, out, err = run_cli([*argv, "--digits", str(digits)], capsys)
+        assert (code, out, err) == (0, reference[:digits + 2] + "\n", ""), digits
 
 
 def test_verify_sums_each_distinct_series_once(request, monkeypatch, capsys):
@@ -395,33 +322,6 @@ def test_well_formed_argv_exits_with_a_status(argv, int_str_cap):
     assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
 
 
-# --- determinism ------------------------------------------------------------------
-
-
-def test_identical_invocations_are_byte_identical(capsys):
-    argv = ["pi", "--digits", "40", "--method", "combined"]
-    first = run_cli(argv, capsys)
-    second = run_cli(argv, capsys)
-    assert first == second
-
-
-def test_json_deterministic_apart_from_elapsed(capsys):
-    argv = ["pi", "--digits", "40", "--method", "machin", "--json"]
-    _, out_a, _ = run_cli(argv, capsys)
-    _, out_b, _ = run_cli(argv, capsys)
-    payload_a, payload_b = json.loads(out_a), json.loads(out_b)
-    payload_a.pop("elapsed_ms")
-    payload_b.pop("elapsed_ms")
-    assert payload_a == payload_b
-
-
-def test_compare_output_deterministic(capsys):
-    argv = ["compare", "--digits", "128", "--format", "csv"]
-    first = run_cli(argv, capsys)
-    second = run_cli(argv, capsys)
-    assert first == second
-
-
 # --- json schema ------------------------------------------------------------------
 
 
@@ -438,14 +338,6 @@ def test_pi_json_report_schema(capsys):
     assert isinstance(payload["elapsed_ms"], int)
     assert payload["value"].startswith("3.")
     assert out.endswith("\n")
-
-
-def test_arctan_json_report(capsys):
-    code, out, _ = run_cli(["arctan", "--case", "1/4", "--digits", "25", "--json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["guaranteed_digits"] >= payload["requested_digits"] == 25
-    assert len(payload["terms_used"]) == 3
 
 
 # (guaranteed_digits, terms_used, error_ulps) of the --json report per
@@ -544,16 +436,6 @@ def test_json_report_golden_past_int_str_cap(method, capsys):
     assert digest == GOLDEN_5000_SHA256[method]
 
 
-def test_combined_156_digits_certified(capsys):
-    # a size between the golden pins: the digits are pi's, and the guard
-    # rule certifies exactly 8 digits past them
-    code, out, _ = run_cli(["pi", "--digits", "156", "--json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["value"] == oracles.truncated_digits(oracles.pi_bracket(170), 156)
-    assert payload["guaranteed_digits"] - 156 == 8
-
-
 # the two tightest targets up to the 100,000-digit cap: pi's digits after
 # position 761 are the Feynman point, 999999837..., and arctan(1)'s after
 # position 17533 are 000000266...; no other target up to the cap is followed
@@ -578,36 +460,6 @@ def test_arctan_one_before_six_zeros(capsys):
 
 
 # --- compare rendering ------------------------------------------------------------
-
-
-def test_compare_csv_shape(capsys):
-    code, out, _ = run_cli(["compare", "--digits", "128", "--format", "csv"], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "method,ratio,terms_per_digit,terms_for_target,notes"
-    row = {line.split(",")[0]: line for line in lines[1:]}
-    assert row["euler_x_quarter"].startswith("euler_x_quarter,1/1024,~0.332,42,")
-    assert row["euler_x_half"].startswith("euler_x_half,1/64,~0.554,70,")
-    assert ",~5e127," in row["leibniz"]
-
-
-def test_compare_table_has_symbolic_leibniz(capsys):
-    code, out, _ = run_cli(["compare", "--digits", "10", "--format", "table"], capsys)
-    assert code == 0
-    assert "~5e9" in out
-    header = out.splitlines()[0]
-    for column in ("method", "ratio", "terms_per_digit", "terms_for_target", "notes"):
-        assert column in header
-
-
-def test_compare_json_rows(capsys):
-    code, out, _ = run_cli(["compare", "--digits", "15", "--format", "json"], capsys)
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["schema"] == 1
-    assert payload["target_digits"] == 15
-    assert [row["method"] for row in payload["rows"]][0] == "leibniz"
-    assert payload["rows"][0]["terms_for_target"] is None
 
 
 def test_compare_at_the_digit_cap_counts_each_series_row_at_its_rate(capsys):
