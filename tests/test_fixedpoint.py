@@ -88,6 +88,19 @@ def test_copies_and_pickles_are_equal(duplicate):
 # --- fx_div_small -------------------------------------------------------------
 
 
+def test_div_floors_a_positive_dividend():
+    assert fx_div_small(FixedPoint(10**6, 6), 3) == FixedPoint(333333, 6)
+
+
+def test_div_by_one_is_the_operand():
+    assert fx_div_small(FixedPoint(10**6, 6), 1) == FixedPoint(10**6, 6)
+
+
+def test_div_quarter_by_64():
+    # 0.25/64 = 0.00390625, truncated at scale 6
+    assert fx_div_small(FixedPoint(250000, 6), 64) == FixedPoint(3906, 6)
+
+
 def test_div_errors():
     with pytest.raises(ZeroDivisionError):
         fx_div_small(FixedPoint(1, 3), 0)

@@ -37,6 +37,9 @@ from rationalpi.series import CaseId, Component, context_for, series_for_case
 import oracles
 
 
+PI_30 = "3.141592653589793238462643383279"
+
+
 def digits_of(result, digits):
     return fx_to_decimal_string(result.value, ErrorLedger(result.error_ulps), digits)
 
@@ -56,6 +59,19 @@ def test_sun_value_within_error_of_true_arctan(digits):
 
 
 # --- identity and factorization -------------------------------------------------
+
+
+@pytest.mark.parametrize("digits", (10, 50))
+def test_arctan_identity_passes(digits):
+    check = cross_formula_agreement(context_for_verify(digits))[0]
+    assert check.passed
+    assert check.residual_ulps <= check.bound_ulps
+
+
+def test_arctan_identity_fault_injection_fails_loudly(jupiter_fault):
+    check = cross_formula_agreement(context_for_verify(12))[0]
+    assert not check.passed
+    assert check.residual_ulps > 1000 * check.bound_ulps
 
 
 def test_factorization_expands_to_quartic():
@@ -92,6 +108,13 @@ def test_pi_formula_registry_values_are_pi():
                 hi += coeff * arg_lo
         assert lo <= pi_hi and pi_lo <= hi
         assert abs((lo + hi) / 2 - (pi_lo + pi_hi) / 2) < Fraction(1, 10**55)
+
+
+@pytest.mark.parametrize("method", (PiFormulaId.CASE1, PiFormulaId.COMBINED, PiFormulaId.MACHIN_ORACLE))
+def test_compute_pi_thirty_digits(method):
+    result = compute_pi(method, context_for_formula(method, 30))
+    assert digits_of(result, 30) == PI_30
+    assert result.guaranteed_digits >= 30
 
 
 @pytest.mark.parametrize("route", list(PiFormulaId))
@@ -261,6 +284,14 @@ def test_library_calls_leave_interpreter_state_alone(int_str_cap):
     assert int_str_cap() in (None, 4300)
     context = decimal.getcontext()
     assert (context.prec, context.rounding, dict(context.traps)) == before
+
+
+@pytest.mark.parametrize("digits", (10, 30, 50, 128))
+def test_cross_formula_agreement(digits):
+    _, checks = cross_formula_agreement(context_for_verify(digits))
+    assert len(checks) == 3
+    for check in checks:
+        assert check.passed, (check.first, check.second, check.diff_ulps, check.bound_ulps)
 
 
 @pytest.mark.parametrize("digits", (10, 50, 128, 500, 3000))

@@ -660,6 +660,11 @@ def test_heavy_weight_guard_keeps_its_spare_digits(weight, case, component, targ
 # --- term ratios --------------------------------------------------------------
 
 
+def test_consecutive_term_ratio_instances():
+    assert consecutive_term_ratio(SeriesSpec(1, 1, 1, 4, 64), 0) == Fraction(1, 320)
+    assert consecutive_term_ratio(SeriesSpec(1, 1, 3, 4, 4), 1) == Fraction(7, 44)
+
+
 def test_consecutive_term_ratio_matches_oracle_and_bound():
     rng = random.Random(11)
     for _ in range(80):
