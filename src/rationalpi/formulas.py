@@ -8,8 +8,8 @@ which :func:`sun` evaluates for the three supported arguments.  Pi is then
 assembled along two independent routes through that decomposition (the
 ``x = 1`` case times four, and ``8*arctan(1/3) + 4*arctan(1/7)``), plus a
 cross-check route through the classic Machin pair
-``16*arctan(1/5) - 4*arctan(1/239)`` which shares only the fixed-point
-layer's mechanics and none of the series parameters.
+``16*arctan(1/5) - 4*arctan(1/239)``: other series, summed in blocks, not
+by the shared pass, but the same planner, certificate and renderer.
 
 :data:`PI_FORMULAS` is the one table of routes, and ``_series`` the one
 rule that expands its weighted arctangents into series for evaluation,

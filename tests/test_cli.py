@@ -72,6 +72,14 @@ def test_repeat_option_is_removed(capsys):
     assert "error: unrecognized arguments: --repeat 1" in err
 
 
+def test_digits_defaults_are_the_ones_help_names(capsys):
+    # parsed only: nothing is evaluated
+    for command, default in (("verify", 50), ("bench", 2000)):
+        assert cli.build_parser().parse_args([command]).digits == default
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0 and f"(default: {default})" in " ".join(out.split()), command
+
+
 class PlanningReached(Exception):
     pass
 

@@ -59,6 +59,15 @@ MUTANTS = [
      "_fixed(a.signed_units // m, a.scale)", "_fixed(-(-a.signed_units // m), a.scale)"),
     ("negative divisor taken", FIXEDPOINT,
      "type(m) is not int or m < 1:", "type(m) is not int or m == 0:"),
+    ("power of two shifted one bit too far", FIXEDPOINT,
+     "_fixed(a.signed_units >> shift, a.scale)", "_fixed(a.signed_units >> shift + 1, a.scale)"),
+    ("scale without the guard", FIXEDPOINT,
+     "return self.target_digits + self.guard_digits", "return self.target_digits"),
+    ("bool taken as an int", FIXEDPOINT,
+     "if type(value) is not int:", "if not isinstance(value, int):"),
+    ("negative scale taken", FIXEDPOINT, "_least = (None, 0)", "_least = (None, None)"),
+    ("negative ledger taken", FIXEDPOINT, "_least = (0,)", "_least = (None,)"),
+    ("target of 0 digits taken", FIXEDPOINT, "_least = (1, 0)", "_least = (0, 0)"),
     ("no zfill before the point", FIXEDPOINT,
      "body.zfill(want_digits + 1)", "body.zfill(want_digits)"),
     ("str past the int/str cap", FIXEDPOINT,
@@ -80,6 +89,8 @@ MUTANTS = [
     ("inner * weight", FORMULAS,
      "(weight * inner, series_for_case", "(inner * weight, series_for_case"),
     ("case1 by default", CLI, 'default="combined"', 'default="case1"'),
+    ("verify at 51 digits by default", CLI, "default=50,", "default=51,"),
+    ("bench at 2001 digits by default", CLI, "default=2000,", "default=2001,"),
     ("CSV lines end in CRLF", CLI, 'lineterminator="\\n"', 'lineterminator="\\r\\n"'),
     ("rate column to 2 places", CLI, "{row.terms_per_digit:.3f}", "{row.terms_per_digit:.2f}"),
     ("JSON terms as one total", CLI,
